@@ -134,31 +134,34 @@ def build_ground_truth(
     n_seg = len(segments)
     if n_seg == 0:
         raise ValueError("network has no segments")
-    pipes = {p.pipe_id: p for p in network.iter_pipes()}
+    pipes = network.pipes()
+    pipe_row = {p.pipe_id: i for i, p in enumerate(pipes)}
 
     seg_ids = [s.segment_id for s in segments]
     pipe_ids = [s.pipe_id for s in segments]
+    seg_pipe = np.asarray([pipe_row[pid] for pid in pipe_ids], dtype=np.int64)
     midpoints = np.asarray([s.midpoint for s in segments])
     lengths = np.asarray([s.length for s in segments])
-    materials = [pipes[pid].material for pid in pipe_ids]
-    laid = np.asarray([pipes[pid].laid_year for pid in pipe_ids], dtype=float)
-    diam = np.asarray([pipes[pid].diameter_mm for pid in pipe_ids])
-    is_cwm = np.asarray([pipes[pid].pipe_class is PipeClass.CWM for pid in pipe_ids])
+    # Pipe attributes are read once per pipe, then spread to segments.
+    laid = np.asarray([p.laid_year for p in pipes], dtype=float)[seg_pipe]
+    diam = np.asarray([p.diameter_mm for p in pipes])[seg_pipe]
+    is_cwm = np.asarray([p.pipe_class is PipeClass.CWM for p in pipes])[seg_pipe]
+    materials = [p.material for p in pipes]
+    material_index = {m: i for i, m in enumerate(Material)}
+    mat_idx = np.asarray([material_index[m] for m in materials])[seg_pipe]
 
-    soil_values = soil.sample([tuple(m) for m in midpoints])
+    soil_values = soil.sample(midpoints)
     corr_sev = corrosiveness_severity(soil_values["soil_corrosiveness"])
     expa_sev = expansiveness_severity(soil_values["soil_expansiveness"])
-    dist_int = traffic.distance_to_nearest([tuple(m) for m in midpoints])
+    dist_int = traffic.distance_to_nearest(midpoints)
 
-    base = np.asarray([_MATERIAL_BASE[m] for m in materials])
-    ageing = np.asarray([_MATERIAL_AGEING[m] for m in materials])
-    ferrous = np.asarray([m in FERROUS_MATERIALS for m in materials])
-    brittle = np.asarray([m in _BRITTLE_MATERIALS for m in materials])
+    base = np.asarray([_MATERIAL_BASE[m] for m in materials])[seg_pipe]
+    ageing = np.asarray([_MATERIAL_AGEING[m] for m in materials])[seg_pipe]
+    ferrous = np.asarray([m in FERROUS_MATERIALS for m in materials])[seg_pipe]
+    brittle = np.asarray([m in _BRITTLE_MATERIALS for m in materials])[seg_pipe]
 
     # Latent cohorts: (material, era) batch quality — some vintages were bad.
-    eras = np.asarray([era_bucket(int(y)) for y in laid])
-    mat_idx = np.asarray([list(Material).index(m) for m in materials])
-    cohort = eras * len(Material) + mat_idx
+    cohort = era_bucket(laid) * len(Material) + mat_idx
     # Large batch variance: some (material, vintage) combinations were simply
     # bad production runs. This is a material×era *interaction* — invisible
     # to models that only carry material and age main effects, discoverable
@@ -174,9 +177,8 @@ def build_ground_truth(
     # shared pipe-level component. Shapes < 1 give the heavy right tail
     # that produces real networks' repeat-offender assets.
     segment_frailty = rng.gamma(0.55, 1.0 / 0.55, size=n_seg)
-    pipe_order = list(pipes)
-    pipe_component = dict(zip(pipe_order, rng.gamma(2.5, 1.0 / 2.5, size=len(pipe_order))))
-    frailty = segment_frailty * np.asarray([pipe_component[pid] for pid in pipe_ids])
+    pipe_component = rng.gamma(2.5, 1.0 / 2.5, size=len(pipes))
+    frailty = segment_frailty * pipe_component[seg_pipe]
 
     # Static (year-independent) hazard factors.
     corrosion_f = np.where(ferrous, 1.0 + 3.5 * corr_sev, 1.0 + 0.2 * corr_sev)

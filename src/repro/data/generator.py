@@ -24,15 +24,20 @@ _RWM_DIAMETERS = np.array([100.0, 150.0, 200.0, 250.0])
 _RWM_DIAMETER_P = np.array([0.30, 0.40, 0.20, 0.10])
 
 #: Era boundaries for the material mix.
-_ERAS = (1930, 1955, 1975, 1990)
+_ERAS = np.array([1930, 1955, 1975, 1990])
 
 #: Target segment lengths (m) per class; small per-pipe variance.
 _SEGMENT_TARGET = {"CWM": 45.0, "RWM": 32.0}
 
 
-def era_bucket(laid_year: int) -> int:
-    """Installation-era index 0..4 (pre-1930 … post-1990)."""
-    return int(np.searchsorted(np.asarray(_ERAS), laid_year, side="right"))
+def era_bucket(laid_year: int | np.ndarray) -> int | np.ndarray:
+    """Installation-era index 0..4 (pre-1930 … post-1990).
+
+    Scalar in, ``int`` out; an array of laid years gives an int64 array of
+    eras from one ``searchsorted``. A boundary year joins the later era.
+    """
+    eras = np.searchsorted(_ERAS, laid_year, side="right")
+    return int(eras) if np.ndim(eras) == 0 else eras
 
 
 def _material_mix(era: int, is_cwm: bool) -> tuple[list[Material], list[float]]:

@@ -106,7 +106,7 @@ class ModelData:
         laid = self.seg_laid_year.astype(float)
         std = laid.std()
         laid_z = (laid - laid.mean()) / (std if std > 1e-12 else 1.0)
-        eras = np.asarray([era_bucket(int(y)) for y in laid])
+        eras = era_bucket(laid)
         era_onehot = np.zeros((len(laid), 5))
         era_onehot[np.arange(len(laid)), eras] = 1.0
         # Segment location (standardised): pipe locations are part of the
@@ -191,7 +191,7 @@ def build_model_data(dataset: PipeDataset, config: FeatureConfig | None = None) 
     pipe_row = {pid: i for i, pid in enumerate(pipe_ids)}
     seg_pipe_idx = np.asarray([pipe_row[s.pipe_id] for s in segments], dtype=np.int64)
 
-    midpoints = [s.midpoint for s in segments]
+    midpoints = np.asarray([s.midpoint for s in segments], dtype=float)
     seg_lengths = np.asarray([s.length for s in segments])
     pipe_lengths = np.asarray([p.length for p in pipes])
     pipe_laid = np.asarray([p.laid_year for p in pipes], dtype=float)
@@ -295,7 +295,7 @@ def build_model_data(dataset: PipeDataset, config: FeatureConfig | None = None) 
         pipe_laid_year=pipe_laid,
         pipe_material=[p.material.name for p in pipes],
         pipe_diameter=np.asarray([p.diameter_mm for p in pipes]),
-        seg_midpoints=np.asarray(midpoints, dtype=float),
+        seg_midpoints=midpoints,
         train_years=train_years,
         test_year=dataset.test_year,
         seg_fail_train=seg_fail[:, train_cols],

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..network.geometry import BoundingBox, Point
-from ..network.spatial import GridIndex
+from ..network.spatial import nearest
 
 
 @dataclass
@@ -36,16 +36,15 @@ class CategoricalField:
         unknown = set(self.labels) - set(self.categories)
         if unknown:
             raise ValueError(f"labels {unknown} missing from categories")
-        self._index = GridIndex([tuple(s) for s in self.seeds])
 
     def value_at(self, p: Point) -> str:
         """Category at point ``p``."""
-        idx, _ = self._index.nearest(p)
-        return self.labels[idx]
+        return self.values_at([p])[0]
 
-    def values_at(self, points: Sequence[Point]) -> list[str]:
-        """Categories at many points."""
-        return [self.value_at(p) for p in points]
+    def values_at(self, points: Sequence[Point] | np.ndarray) -> list[str]:
+        """Categories at many points (an ``(n, 2)`` array or point sequence)."""
+        idx, _ = nearest(points, self.seeds)
+        return [self.labels[i] for i in idx.tolist()]
 
     @staticmethod
     def random(

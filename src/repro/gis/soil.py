@@ -40,8 +40,11 @@ class SoilLayers:
     geology: CategoricalField
     soil_map: CategoricalField
 
-    def sample(self, points: Sequence[Point]) -> dict[str, list[str]]:
-        """Layer values at each point, keyed by layer name."""
+    def sample(self, points: Sequence[Point] | np.ndarray) -> dict[str, list[str]]:
+        """Layer values at each point, keyed by layer name.
+
+        ``points`` is an ``(n, 2)`` array or a sequence of points.
+        """
         return {
             "soil_corrosiveness": self.corrosiveness.values_at(points),
             "soil_expansiveness": self.expansiveness.values_at(points),

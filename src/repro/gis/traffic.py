@@ -14,12 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from ..network.geometry import BoundingBox, Point
-from ..network.spatial import GridIndex
+from ..network.spatial import nearest
 
 
 @dataclass
 class TrafficNetwork:
-    """A set of traffic-intersection locations with fast nearest queries."""
+    """A set of traffic-intersection locations with batched nearest queries."""
 
     intersections: np.ndarray  # (n, 2)
 
@@ -29,15 +29,17 @@ class TrafficNetwork:
             raise ValueError("intersections must be (n, 2)")
         if len(self.intersections) == 0:
             raise ValueError("need at least one intersection")
-        self._index = GridIndex([tuple(p) for p in self.intersections])
 
     @property
     def n_intersections(self) -> int:
         return len(self.intersections)
 
-    def distance_to_nearest(self, points: Sequence[Point]) -> np.ndarray:
-        """Distance (m) from each point to its closest intersection."""
-        return self._index.nearest_distances(points)
+    def distance_to_nearest(self, points: Sequence[Point] | np.ndarray) -> np.ndarray:
+        """Distance (m) from each point to its closest intersection.
+
+        ``points`` is an ``(n, 2)`` array or a sequence of points.
+        """
+        return nearest(points, self.intersections)[1]
 
     @staticmethod
     def from_street_grid(

@@ -1,4 +1,4 @@
-"""Pipe network substrate: geometry, asset model, network container, spatial index."""
+"""Pipe network substrate: geometry, asset model, network container, nearest-point queries."""
 
 from .geometry import (
     BoundingBox,
@@ -21,7 +21,7 @@ from .pipe import (
     PipeClass,
     PipeSegment,
 )
-from .spatial import GridIndex
+from .spatial import nearest
 
 __all__ = [
     "BoundingBox",
@@ -42,5 +42,5 @@ __all__ = [
     "Pipe",
     "PipeClass",
     "PipeSegment",
-    "GridIndex",
+    "nearest",
 ]

@@ -9,12 +9,13 @@ their endpoints) for topological analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .geometry import BoundingBox, Point
 from .pipe import Pipe, PipeClass, PipeSegment
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -113,6 +114,8 @@ class PipeNetwork:
         graph reflects hydraulic adjacency well enough for neighbourhood
         feature extraction.
         """
+        import networkx as nx  # only this view needs it; keeps `import repro` light
+
         graph = nx.Graph()
         for seg in self._segments.values():
             u = (round(seg.start[0], precision), round(seg.start[1], precision))

@@ -1,11 +1,16 @@
-"""Uniform-grid spatial index for nearest-neighbour point queries.
+"""Exact batched nearest-point queries in the plane.
 
-Used to compute each pipe segment's distance to its closest traffic
-intersection (a Table 18.2 feature) without O(n·m) brute force. The index
-bins points into square cells and answers nearest-point queries by
-searching outward ring by ring, which is exact: the search stops only once
-the best distance found is provably shorter than anything in unexplored
-rings.
+Used for the Table 18.2 features sampled at segment midpoints: each soil
+layer is a Voronoi field (category of the nearest seed) and the traffic
+feature is the distance to the closest intersection. Both are answered
+here with one call per layer rather than one call per segment.
+
+The search is brute force over blocks of query rows: each block takes the
+``argmin`` of ``dx*dx + dy*dy`` against every point, so exact ties go to
+the lowest point index. Each returned distance is then computed with
+``math.hypot`` on the chosen pair. ``np.hypot`` and the square root of the
+rounded squared distance can differ from it in the last bit, and the
+simulated regions are pinned bit-for-bit to ``math.hypot`` distances.
 """
 
 from __future__ import annotations
@@ -17,91 +22,51 @@ import numpy as np
 
 from .geometry import Point
 
+#: Target size of one block's temporaries. Blocks are sized in bytes, not
+#: rows, so a large point set shrinks the block instead of the peak RSS
+#: growing with it.
+BLOCK_BYTES = 1 << 20
 
-class GridIndex:
-    """Exact nearest-neighbour index over a static 2-D point set."""
 
-    def __init__(self, points: Sequence[Point], cell_size: float | None = None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-            raise ValueError("GridIndex needs a non-empty (n, 2) point set")
-        self._points = pts
-        self._min = pts.min(axis=0)
-        extent = float(max(pts.max(axis=0) - self._min))
-        if cell_size is None:
-            # Aim for O(1) points per cell on average.
-            cell_size = max(extent / max(1.0, math.sqrt(len(pts))), 1e-9)
-        self._cell = float(cell_size)
-        self._bins: dict[tuple[int, int], list[int]] = {}
-        for i, (x, y) in enumerate(pts):
-            self._bins.setdefault(self._key(x, y), []).append(i)
+def block_rows(n_points: int) -> int:
+    """Query rows per block so that one ``(rows, n_points)`` float array is ~``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (8 * max(1, n_points)))
 
-    def _key(self, x: float, y: float) -> tuple[int, int]:
-        return (int((x - self._min[0]) // self._cell), int((y - self._min[1]) // self._cell))
 
-    def __len__(self) -> int:
-        return len(self._points)
+def nearest(
+    queries: Sequence[Point] | np.ndarray, points: Sequence[Point] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and distance to, the closest of ``points`` for each query.
 
-    def nearest(self, p: Point) -> tuple[int, float]:
-        """Index and distance of the point closest to ``p``.
+    ``queries`` is ``(n, 2)`` (``n`` may be 0) and ``points`` a non-empty
+    ``(m, 2)`` set. Returns ``(idx, dist)``: int64 and float64 arrays of
+    length ``n``, with ``dist[i] == math.hypot(qx - px, qy - py)`` for the
+    chosen point.
+    """
+    q = _as_points(queries, "queries")
+    p = _as_points(points, "points")
+    if len(p) == 0:
+        raise ValueError("nearest needs a non-empty point set")
+    px, py = p[:, 0], p[:, 1]
+    idx = np.empty(len(q), dtype=np.int64)
+    rows = block_rows(len(p))
+    for lo in range(0, len(q), rows):
+        block = q[lo : lo + rows]
+        d2 = block[:, 0:1] - px
+        np.square(d2, out=d2)
+        dy = block[:, 1:2] - py
+        np.square(dy, out=dy)
+        d2 += dy
+        idx[lo : lo + rows] = d2.argmin(axis=1)
+    dx = q[:, 0] - px[idx]
+    dy = q[:, 1] - py[idx]
+    return idx, np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(q))
 
-        Exact: expands the ring radius until the best candidate distance
-        is at most ``(ring - 1) * cell`` — the minimum possible distance to
-        any point in a not-yet-visited ring.
-        """
-        px, py = float(p[0]), float(p[1])
-        ck = self._key(px, py)
-        best_idx, best_dist = -1, math.inf
-        ring = 0
-        max_ring = self._max_ring(px, py)
-        if max_ring > 4096:
-            # Degenerate geometry (e.g. all points identical, query far
-            # outside): ring search would spin; brute force is exact.
-            return self._brute(px, py)
-        while ring <= max_ring:
-            for key in self._ring_keys(ck, ring):
-                for idx in self._bins.get(key, ()):  # empty tuple default: no allocation
-                    qx, qy = self._points[idx]
-                    d = math.hypot(px - qx, py - qy)
-                    if d < best_dist:
-                        best_idx, best_dist = idx, d
-            if best_idx >= 0 and best_dist <= (ring) * self._cell:
-                break
-            ring += 1
-        if best_idx < 0:
-            return self._brute(px, py)
-        return best_idx, best_dist
 
-    def _brute(self, px: float, py: float) -> tuple[int, float]:
-        d = np.hypot(self._points[:, 0] - px, self._points[:, 1] - py)
-        idx = int(np.argmin(d))
-        return idx, float(d[idx])
-
-    def nearest_distance(self, p: Point) -> float:
-        """Distance from ``p`` to the closest indexed point."""
-        return self.nearest(p)[1]
-
-    def nearest_distances(self, points: Sequence[Point]) -> np.ndarray:
-        """Vector of nearest distances for many query points."""
-        return np.array([self.nearest(p)[1] for p in points], dtype=float)
-
-    def _max_ring(self, px: float, py: float) -> int:
-        """Rings needed to cover the whole cloud from the query point."""
-        lo = self._min
-        hi = self._points.max(axis=0)
-        reach = max(abs(px - lo[0]), abs(px - hi[0]), abs(py - lo[1]), abs(py - hi[1]))
-        return int(reach / self._cell) + 2
-
-    @staticmethod
-    def _ring_keys(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:
-        cx, cy = center
-        if ring == 0:
-            return [center]
-        keys = []
-        for dx in range(-ring, ring + 1):
-            keys.append((cx + dx, cy - ring))
-            keys.append((cx + dx, cy + ring))
-        for dy in range(-ring + 1, ring):
-            keys.append((cx - ring, cy + dy))
-            keys.append((cx + ring, cy + dy))
-        return keys
+def _as_points(values: Sequence[Point] | np.ndarray, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{name} must be an (n, 2) array, got shape {arr.shape}")
+    return arr

@@ -24,6 +24,13 @@ class TestEraBucket:
         assert era_bucket(1990) == 4
         assert era_bucket(1997) == 4
 
+    def test_array_matches_scalar(self):
+        years = np.array([1900, 1929, 1930, 1954.0, 1955, 1974, 1975, 1989, 1990, 2008])
+        eras = era_bucket(years)
+        assert isinstance(eras, np.ndarray) and eras.dtype.kind == "i"
+        assert eras.tolist() == [era_bucket(int(y)) for y in years]
+        assert isinstance(era_bucket(1955), int)
+
 
 class TestCounts:
     def test_pipe_counts_match_spec(self, net_and_spec):

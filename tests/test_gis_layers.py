@@ -30,6 +30,12 @@ class TestSoilLayers:
         }
         assert all(len(v) == 2 for v in values.values())
 
+    def test_sample_accepts_array(self, rng):
+        soil = SoilLayers.random(BOX, rng)
+        pts = np.array([[100.0, 100.0], [1500.0, 900.0], [1999.0, 3.0]])
+        assert soil.sample(pts) == soil.sample([tuple(p) for p in pts])
+        assert soil.corrosiveness.value_at(tuple(pts[1])) == soil.sample(pts)["soil_corrosiveness"][1]
+
     def test_values_from_known_vocab(self, rng):
         soil = SoilLayers.random(BOX, rng)
         pts = [(float(x), float(x)) for x in range(0, 2000, 100)]
@@ -55,6 +61,12 @@ class TestTrafficNetwork:
     def test_distance_exact(self):
         net = TrafficNetwork(intersections=np.array([[0.0, 0.0], [100.0, 0.0]]))
         assert net.distance_to_nearest([(3.0, 4.0)])[0] == pytest.approx(5.0)
+
+    def test_distance_accepts_array(self):
+        net = TrafficNetwork(intersections=np.array([[0.0, 0.0], [100.0, 0.0]]))
+        dist = net.distance_to_nearest(np.array([[3.0, 4.0], [100.0, 7.0]]))
+        assert dist.tolist() == [5.0, 7.0]
+        assert net.distance_to_nearest(np.empty((0, 2))).shape == (0,)
 
     def test_grid_density_follows_block_size(self, rng):
         fine = TrafficNetwork.from_street_grid(BOX, 100.0, rng, keep_fraction=1.0)

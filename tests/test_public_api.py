@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,21 @@ class TestExports:
         import repro.ml
         import repro.network
         import repro.survival
+
+    def test_import_stays_light(self):
+        """`import repro` pulls in neither networkx nor scipy.spatial (each costs
+        ~0.1 s and ~10 MB per process, and every pool worker imports repro)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in ('networkx', 'scipy.spatial') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_default_models_names_match_paper(self):
         names = [m.name for m in repro.default_models(fast=True)]
