@@ -29,14 +29,27 @@ Beta–Binomial terms are precomputed as a ``(K, m+1)`` table once per sweep
 number of segments.
 
 The implementation keeps the sequential CRP scan (Algorithm 8 is
-inherently one-segment-at-a-time) but everything inside and around it is
-vectorized: auxiliary-cluster weights come from one ``betaln`` call over
-all ``n_aux`` candidates, the categorical draw is a Gumbel-max over the
-log-weights (no normalisation, no ``rng.choice``), the live cluster-size
-array is authoritative during the sweep and synced back to the cluster
-state once per sweep, the ``q_k`` block scores a cluster through its
-(m+1)-bin failure-count histogram instead of its member vector, and the
-conjugate Gaussian block updates every cluster mean in one batch.
+inherently one-segment-at-a-time) but takes every numpy call it can out
+of the per-segment step. Within a sweep a candidate's log-weight changes
+only through its cluster's live size: the Beta–Binomial term, the feature
+term and the auxiliary clusters' weights (one ``betaln`` call over all
+``n_aux`` candidates of every segment) are fixed until the cluster count
+changes. So the scan scores a window of upcoming steps at once — the
+existing clusters' Beta–Binomial columns plus one ``feats @ mu.T``
+product per window, then the auxiliaries — and adds the window's Gumbel
+noise, drawn in blocks. A step is then one row plus the live log-counts and an argmax
+(Gumbel-max: no normalisation, no ``rng.choice``). A birth or death
+changes K and rescores the rest of the window; the noise it did not use is
+handed back, and after the scan the generator is rewound so that Blocks
+2-3 see exactly the stream per-step draws would have left. The batched
+product rounds differently from a per-segment ``mu @ feats[l]``, and the
+terms are summed in another order; that can change a draw only through a
+tie within rounding between two perturbed weights, which continuous
+Gumbel noise makes vanishingly rare (tests pin the outputs to the
+per-step loop byte for byte). Around the scan, the ``q_k`` block scores a
+cluster through its (m+1)-bin failure-count histogram instead of its
+member vector, and the conjugate Gaussian block updates every cluster
+mean in one batch.
 """
 
 from __future__ import annotations
@@ -71,6 +84,52 @@ SweepCallback = Callable[[int, Mapping[str, float]], None]
 def _betaln_scalar(a: float, b: float) -> float:
     """Scalar ``betaln`` via ``math.lgamma`` — far cheaper than the ufunc."""
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+#: Target size of one window of the CRP scan: its perturbed candidate
+#: log-weights, one float64 row of ``K + n_aux`` per step.
+SCAN_BLOCK_BYTES = 1 << 15
+
+
+class _GumbelStream:
+    """Standard Gumbel noise from ``rng``, drawn in blocks and taken in order.
+
+    Each Gumbel value consumes the generator one draw at a time, so values
+    taken from blocks equal those of one ``rng.gumbel`` call per scan step.
+    The scan hands back values it scored but did not use (:meth:`untake`)
+    when the cluster count changes; :meth:`close` then rewinds the
+    generator to the draw holding the last value taken and redraws up to
+    it, leaving the generator exactly where per-step calls would have.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.values = np.zeros(0)
+        self.pos = 0  # next value to take from self.values
+        self.offset = 0  # stream position of self.values[0]
+        self.draws: list[tuple[int, dict]] = []  # (stream position, state)
+
+    def take(self, n: int) -> np.ndarray:
+        short = self.pos + n - self.values.size
+        if short > 0:
+            self.draws.append((self.offset + self.values.size, self.rng.bit_generator.state))
+            self.offset += self.pos
+            self.values = np.concatenate([self.values[self.pos :], self.rng.gumbel(size=short)])
+            self.pos = 0
+        out = self.values[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def untake(self, n: int) -> None:
+        self.pos -= n
+
+    def close(self) -> None:
+        if self.pos == self.values.size:
+            return  # every value drawn was taken
+        taken = self.offset + self.pos
+        start, state = next((at, st) for at, st in reversed(self.draws) if at <= taken)
+        self.rng.bit_generator.state = state
+        self.rng.gumbel(size=taken - start)
 
 
 @dataclass
@@ -203,12 +262,12 @@ class _ClusterState:
         for attr in (self.q, self.mu, self.count, self.bb_table):
             attr.pop(k)
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(counts, bb (K, m+1), mu (K, d), ‖mu‖² (K,)) as arrays."""
-        counts = np.asarray(self.count, dtype=float)
-        bb = np.asarray(self.bb_table)
-        mu = np.asarray(self.mu)
-        return counts, bb, mu, np.sum(mu**2, axis=1)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bb (m+1, K), mu (K, d), ‖mu‖² (K,)) as arrays."""
+        k = self.k
+        bb = np.asarray(self.bb_table).reshape(k, self._s_grid.size)
+        mu = np.asarray(self.mu).reshape(k, self.d)
+        return bb.T.copy(), mu, np.sum(mu**2, axis=1)
 
 
 @dataclass
@@ -279,8 +338,16 @@ class DPMHBP:
         if failures.ndim != 2:
             raise ValueError("failures must be (segments, years)")
         n_seg, n_years = failures.shape
+        if n_seg == 0:
+            raise ValueError("failures must have at least one segment")
         if self.burn_in >= self.n_sweeps:
             raise ValueError("burn_in must be smaller than n_sweeps")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not self.c_group > 0.0:
+            raise ValueError(f"c_group must be positive, got {self.c_group}")
+        if self.n_aux < 1:
+            raise ValueError(f"n_aux must be at least 1, got {self.n_aux}")
         s = failures.sum(axis=1).astype(np.int64)
         m = float(n_years)
 
@@ -339,8 +406,6 @@ class DPMHBP:
 
         for sweep in range(self.n_sweeps):
             # ---- Block 1: CRP assignments (Neal Algorithm 8) ----
-            counts, bb, mu, mu_sq = state.matrices()
-            log_counts = np.log(counts)
             order = rng.permutation(n_seg)
             # Draw every segment's auxiliary-cluster parameters up front and
             # score them in one vectorized pass: the failure count s_l is
@@ -363,76 +428,105 @@ class DPMHBP:
                 aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
                 aux_base += (aux_cross - 0.5 * aux_sq) / sigma2
 
-            for l in order:
-                k_old = int(z[l])
-                counts[k_old] -= 1.0
-                singleton_params = None
-                if counts[k_old] == 0.0:
-                    singleton_params = (state.q[k_old], state.mu[k_old])
-                    # Delete the empty cluster; relabel in the live arrays.
-                    state.remove(k_old)
-                    scales.pop(k_old)
-                    counts = np.delete(counts, k_old)
-                    log_counts = np.delete(log_counts, k_old)
-                    bb = np.delete(bb, k_old, axis=0)
-                    mu = np.delete(mu, k_old, axis=0)
-                    mu_sq = np.delete(mu_sq, k_old)
-                    z[z > k_old] -= 1
-                else:
-                    log_counts[k_old] = math.log(counts[k_old])
-                k_live = state.k
-
-                # Existing-cluster log weights.
-                logw = log_counts + bb[:, s[l]]
+            counts = list(state.count)
+            k_live = len(counts)
+            # Log-counts padded with zeros over the auxiliary candidates, so
+            # one add completes a step's weights.
+            log_counts = np.zeros(k_live + self.n_aux)
+            log_counts[:k_live] = np.log(counts)
+            bb_t, mu, mu_sq = state.arrays()
+            noise = _GumbelStream(rng)
+            # The deleted singleton's weight and parameters, recycled as the
+            # first auxiliary candidate of the step that emptied it (Alg 8).
+            recycled = None
+            step = 0
+            while step < n_seg:
+                # Everything in a candidate's log-weight but the live
+                # log-count is fixed until K changes (q and mu move only in
+                # Blocks 2-3), so a window of steps is scored and perturbed
+                # at once: row j holds step j's K existing clusters, then
+                # its auxiliaries, plus Gumbel noise.
+                width = k_live + self.n_aux
+                rows = order[step : step + max(1, SCAN_BLOCK_BYTES // (8 * width))]
+                existing = bb_t[s[rows]]
                 if use_features:
-                    logw += (mu @ feats[l] - 0.5 * mu_sq) / sigma2
+                    cross = feats[rows] @ mu.T
+                    cross -= 0.5 * mu_sq
+                    cross /= sigma2
+                    existing += cross
+                weights = np.concatenate([existing, aux_base[rows]], axis=1)
+                if recycled is not None:
+                    weights[0, k_live] = recycled[0]
+                weights += noise.take(weights.size).reshape(weights.shape)
 
-                # Auxiliary clusters from the prior (the deleted singleton's
-                # parameters are recycled as the first auxiliary, per Alg 8).
-                aux_q = aux_q_all[l]
-                aux_mu = aux_mu_all[l]
-                aux_logw = aux_base[l]
-                if singleton_params is not None:
-                    aux_q = aux_q.copy()
-                    aux_mu = aux_mu.copy()
-                    aux_logw = aux_logw.copy()
-                    q_s, mu_s = singleton_params
-                    aux_q[0] = q_s
-                    aux_mu[0] = mu_s
-                    a_s = self.c_group * q_s
-                    b_s = self.c_group * (1.0 - q_s)
-                    sl = float(s[l])
-                    w0 = (
-                        log_alpha_aux
-                        + _betaln_scalar(a_s + sl, b_s + (m - sl))
-                        - _betaln_scalar(a_s, b_s)
-                    )
-                    if use_features:
-                        w0 += (float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)) / sigma2
-                    aux_logw[0] = w0
+                for j, l in enumerate(rows.tolist()):
+                    if recycled is not None:
+                        _, aux_q, aux_mu = recycled
+                        recycled = None
+                    else:
+                        k_old = int(z[l])
+                        counts[k_old] -= 1
+                        if counts[k_old] == 0:
+                            # Delete the emptied cluster, relabel, and rescore
+                            # from this step on with its parameters recycled.
+                            q_s, mu_s = state.q[k_old], state.mu[k_old]
+                            aux_q = aux_q_all[l].copy()
+                            aux_mu = aux_mu_all[l].copy()
+                            aux_q[0] = q_s
+                            aux_mu[0] = mu_s
+                            a_s = self.c_group * q_s
+                            b_s = self.c_group * (1.0 - q_s)
+                            sl = float(s[l])
+                            w0 = (
+                                log_alpha_aux
+                                + _betaln_scalar(a_s + sl, b_s + (m - sl))
+                                - _betaln_scalar(a_s, b_s)
+                            )
+                            if use_features:
+                                w0 += (
+                                    float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)
+                                ) / sigma2
+                            recycled = (w0, aux_q, aux_mu)
+                            state.remove(k_old)
+                            scales.pop(k_old)
+                            del counts[k_old]
+                            log_counts = np.delete(log_counts, k_old)
+                            z[z > k_old] -= 1
+                            k_live -= 1
+                            bb_t, mu, mu_sq = state.arrays()
+                            noise.untake((rows.size - j) * width)
+                            step += j
+                            break
+                        log_counts[k_old] = math.log(counts[k_old])
+                        aux_q = aux_q_all[l]
+                        aux_mu = aux_mu_all[l]
 
-                # Gumbel-max categorical draw on the unnormalised log-weights.
-                all_logw = np.concatenate([logw, aux_logw])
-                all_logw += rng.gumbel(size=all_logw.size)
-                choice = int(all_logw.argmax())
+                    # Gumbel-max categorical draw on the unnormalised log-weights.
+                    logw = weights[j]
+                    logw += log_counts
+                    choice = int(logw.argmax())
 
-                if choice < k_live:
-                    z[l] = choice
-                    counts[choice] += 1.0
-                    log_counts[choice] = math.log(counts[choice])
+                    if choice < k_live:
+                        z[l] = choice
+                        counts[choice] += 1
+                        log_counts[choice] = math.log(counts[choice])
+                    else:
+                        h = choice - k_live
+                        z[l] = state.add(float(aux_q[h]), aux_mu[h], 1)
+                        scales.append(AdaptiveScale())
+                        counts.append(1)
+                        log_counts = np.insert(log_counts, k_live, 0.0)
+                        k_live += 1
+                        bb_t, mu, mu_sq = state.arrays()
+                        noise.untake((rows.size - j - 1) * width)
+                        step += j + 1
+                        break
                 else:
-                    h = choice - k_live
-                    new_k = state.add(float(aux_q[h]), aux_mu[h], 1)
-                    scales.append(AdaptiveScale())
-                    z[l] = new_k
-                    counts = np.append(counts, 1.0)
-                    log_counts = np.append(log_counts, 0.0)
-                    bb = np.vstack([bb, state.bb_table[new_k]])
-                    mu = np.vstack([mu, aux_mu[h]])
-                    mu_sq = np.append(mu_sq, float(aux_mu[h] @ aux_mu[h]))
-            # The live ``counts`` array was authoritative during the scan;
-            # write it back to the cluster state once per sweep.
-            state.count = [int(c) for c in counts]
+                    step += rows.size
+            noise.close()
+            # The live ``counts`` list was authoritative during the scan;
+            # it becomes the cluster state's once per sweep.
+            state.count = counts
 
             # ---- Block 2: q_k via logit Metropolis (collapsed ρ) ----
             # Failure counts live on the small grid 0..m, so a cluster's

@@ -9,6 +9,7 @@ data — is handled with per-class example weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class LinearSVM:
     intercept_: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVM":
+        if not self.lam > 0.0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         X = np.asarray(X, dtype=float)
         y01 = np.asarray(y, dtype=float).ravel()
         if set(np.unique(y01)) - {0.0, 1.0}:
@@ -52,6 +57,8 @@ class LinearSVM:
         else:
             weights = np.ones(n)
         rng = np.random.default_rng(self.seed)
+        # Pegasos projection onto the ||w|| <= 1/sqrt(lam) ball.
+        radius = 1.0 / math.sqrt(self.lam)
         w = np.zeros(d)
         b = 0.0
         t = 0
@@ -59,15 +66,13 @@ class LinearSVM:
             for i in rng.permutation(n):
                 t += 1
                 eta = 1.0 / (self.lam * t)
-                margin = y_pm[i] * (X[i] @ w + b)
+                margin = y_pm[i] * (X[i].dot(w) + b)
                 w *= 1.0 - eta * self.lam
                 if margin < 1.0:
                     w += eta * weights[i] * y_pm[i] * X[i]
                     if self.fit_intercept:
                         b += eta * weights[i] * y_pm[i]
-                # Pegasos projection onto the ||w|| <= 1/sqrt(lam) ball.
-                norm = np.linalg.norm(w)
-                radius = 1.0 / np.sqrt(self.lam)
+                norm = math.sqrt(w.dot(w))  # np.linalg.norm(w), bit for bit
                 if norm > radius:
                     w *= radius / norm
         self.coef_ = w

@@ -5,9 +5,10 @@ Subcommands
 ``save``     time the five sampler benchmarks, write ``BENCH_<rev>.json``
 ``compare``  re-time them and fail (exit 1) on >25% median regressions
              against a baseline snapshot (latest ``BENCH_*.json`` by default)
-``smoke``    fast tier-1 sanity check: one DPMHBP sweep and one exact-AUC
-             call must finish under a generous ceiling — catches
-             catastrophic slowdowns without pytest-benchmark
+``smoke``    fast tier-1 sanity check: one DPMHBP sweep, one default
+             RankSVM fit and one exact-AUC call must finish under a
+             generous ceiling — catches catastrophic slowdowns without
+             pytest-benchmark
 
 Wired to ``make bench-save``, ``make bench-compare`` and ``make perfcheck``.
 """
@@ -73,6 +74,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
     from ..core.dpmhbp import DPMHBP
     from ..core.ranking.objective import empirical_auc
+    from ..core.ranking.ranksvm import RankSVM
     from ..parallel import parallel_map, resolve_executor
     from ..parallel import shm
     from .benchmarks import _scaling_worker, make_health_noop, make_telemetry_noop
@@ -83,6 +85,10 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     scores = rng.standard_normal(100_000)
     labels = (rng.random(100_000) < 0.01).astype(float)
     labels[0] = 1.0
+    # A snapshot-sized ranking matrix: ~4k pipes, ~30 columns, 2% positives.
+    rank_X = rng.standard_normal((4_000, 30))
+    rank_y = (rng.random(4_000) < 0.02).astype(float)
+    rank_y[0] = 1.0
 
     def _fanout_check() -> None:
         config = resolve_executor()
@@ -104,6 +110,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         "dpmhbp_one_sweep": lambda: DPMHBP(n_sweeps=1, burn_in=0, seed=0).fit(
             failures, features
         ),
+        # The SVM comparator's fit (and AUC-Rank's warm start): 150k
+        # sequential Pegasos steps at the defaults.
+        "ranksvm_fit": lambda: RankSVM().fit(rank_X, rank_y),
         "empirical_auc_100k": lambda: empirical_auc(scores, labels),
         # Disabled-telemetry overhead: 200k no-op span+counter calls must be
         # effectively free, or the permanent hot-path instrumentation is

@@ -100,12 +100,43 @@ class TestSampler:
                 np.zeros((4, 3), dtype=np.int8), np.zeros((5, 2))
             )
 
+    def test_zero_segments_rejected(self):
+        with pytest.raises(ValueError, match="segment"):
+            DPMHBP(n_sweeps=5, burn_in=1).fit(np.zeros((0, 11), dtype=np.int8))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_alpha_rejected(self, rng, alpha):
+        failures, features, _ = clustered_data(rng, n_per=10)
+        with pytest.raises(ValueError, match="alpha"):
+            DPMHBP(n_sweeps=5, burn_in=1, alpha=alpha).fit(failures, features)
+
+    def test_zero_c_group_rejected(self, rng):
+        failures, features, _ = clustered_data(rng, n_per=10)
+        with pytest.raises(ValueError, match="c_group"):
+            DPMHBP(n_sweeps=5, burn_in=1, c_group=0.0).fit(failures, features)
+
+    def test_zero_n_aux_rejected(self, rng):
+        failures, features, _ = clustered_data(rng, n_per=10)
+        with pytest.raises(ValueError, match="n_aux"):
+            DPMHBP(n_sweeps=5, burn_in=1, n_aux=0).fit(failures, features)
+
     def test_deterministic_given_seed(self, rng):
         failures, features, _ = clustered_data(rng, n_per=30)
         a = DPMHBP(n_sweeps=10, burn_in=3, seed=7).fit(failures, features)
         b = DPMHBP(n_sweeps=10, burn_in=3, seed=7).fit(failures, features)
-        assert np.allclose(a.rho_mean, b.rho_mean)
-        assert np.array_equal(a.last_assignments, b.last_assignments)
+        for name in (
+            "rho_mean",
+            "rho_std",
+            "n_clusters_trace",
+            "last_assignments",
+            "last_q",
+            "accept_rate_q",
+            "log_lik_trace",
+            "accept_trace",
+        ):
+            x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
 
 
 class TestDPMHBPModel:

@@ -42,6 +42,22 @@ class TestRankSVM:
         with pytest.raises(RuntimeError):
             RankSVM().decision_function(np.ones((1, 2)))
 
+    @pytest.mark.parametrize("lam", [-1e-3, 0.0])
+    def test_nonpositive_lam_rejected(self, rng, lam):
+        X, y, _ = linear_ranking_data(rng, n=50)
+        with pytest.raises(ValueError, match="lam"):
+            RankSVM(lam=lam, n_pairs=100).fit(X, y)
+
+    def test_zero_epochs_rejected(self, rng):
+        X, y, _ = linear_ranking_data(rng, n=50)
+        with pytest.raises(ValueError, match="epochs"):
+            RankSVM(epochs=0).fit(X, y)
+
+    def test_zero_pairs_rejected(self, rng):
+        X, y, _ = linear_ranking_data(rng, n=50)
+        with pytest.raises(ValueError, match="n_pairs"):
+            RankSVM(n_pairs=0).fit(X, y)
+
     def test_deterministic(self, rng):
         X, y, _ = linear_ranking_data(rng, n=150)
         a = RankSVM(seed=5, n_pairs=2000).fit(X, y).coef_

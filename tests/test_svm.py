@@ -50,6 +50,19 @@ class TestLinearSVM:
         with pytest.raises(RuntimeError):
             LinearSVM().decision_function(np.ones((1, 1)))
 
+    def test_zero_epochs_rejected(self, rng):
+        X = rng.standard_normal((20, 2))
+        y = (X[:, 0] > 0).astype(int)
+        with pytest.raises(ValueError, match="epochs"):
+            LinearSVM(epochs=0).fit(X, y)
+
+    @pytest.mark.parametrize("lam", [-1e-3, 0.0])
+    def test_nonpositive_lam_rejected(self, rng, lam):
+        X = rng.standard_normal((20, 2))
+        y = (X[:, 0] > 0).astype(int)
+        with pytest.raises(ValueError, match="lam"):
+            LinearSVM(lam=lam, epochs=1).fit(X, y)
+
     def test_deterministic_given_seed(self, rng):
         X = rng.standard_normal((100, 2))
         y = (X[:, 0] > 0).astype(int)
