@@ -33,8 +33,9 @@ bench-compare:
 perfcheck:
 	PYTHONPATH=src python -m repro.perf smoke
 
-# Same smoke under the multi-process backend: exercises the persistent
-# worker pool and the shared-memory data plane end to end.
+# Same smoke under the multi-process backend: every map builds and joins
+# its own per-call process pool; the fan-out check also publishes a
+# shared-memory bundle and asserts no segment leaks.
 perfcheck-procs:
 	REPRO_EXECUTOR=processes REPRO_JOBS=2 PYTHONPATH=src python -m repro.perf smoke
 

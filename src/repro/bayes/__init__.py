@@ -1,7 +1,5 @@
-"""Bayesian nonparametric primitives: beta process, Bernoulli process, CRP."""
+"""Bayesian nonparametric primitives: CRP partitions and conjugate distributions."""
 
-from .bernoulli_process import loglik, sample_draws, success_counts
-from .beta_process import DiscreteBetaProcess, sample_levy_atoms
 from .crp import (
     alpha_for_expected_tables,
     expected_tables,
@@ -23,11 +21,6 @@ from .distributions import (
 )
 
 __all__ = [
-    "loglik",
-    "sample_draws",
-    "success_counts",
-    "DiscreteBetaProcess",
-    "sample_levy_atoms",
     "alpha_for_expected_tables",
     "expected_tables",
     "gibbs_weights",

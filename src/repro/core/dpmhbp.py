@@ -627,24 +627,20 @@ def _write_json_atomic(path: Path, payload: dict) -> Path:
 def _fit_dpmhbp_chain(task: tuple) -> DPMHBPPosterior:
     """Run one chain of the sampler (module-level so processes can pickle it).
 
-    The canonical task is ``(sampler, handle, ckpt_path)`` — the training
+    The task is ``(sampler, handle, ckpt_path)`` — the training
     arrays travel once through the :mod:`repro.parallel.shm` data plane
     and every chain resolves read-only zero-copy views, instead of each
     task pickling its own copy of the same (failures, features, init)
-    bundle. The legacy 5-tuple with inline arrays is still accepted (old
-    pickled call sites).
+    bundle.
 
     With a checkpoint path, the chain restores a valid prior checkpoint
     instead of re-sampling (bit-identical — the checkpoint *is* the chain's
     result), and saves its posterior atomically after a fresh fit; corrupt
     checkpoints are discarded and refit.
     """
-    if len(task) == 3:
-        sampler, handle, ckpt_path = task
-        arrays = shm.resolve_bundle(handle)
-        failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
-    else:
-        sampler, failures, features, init, ckpt_path = task
+    sampler, handle, ckpt_path = task
+    arrays = shm.resolve_bundle(handle)
+    failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
     if ckpt_path is not None and Path(ckpt_path).exists():
         try:
             restored = DPMHBPPosterior.load(ckpt_path)
@@ -744,11 +740,7 @@ class DPMHBPModel(FailureModel):
             for chain in range(self.n_chains)
         ]
         try:
-            # chunksize=1: chains are few and heavy — a chain must never
-            # queue behind a batch-mate on a busy worker.
-            self.chain_posteriors_ = parallel_map(
-                _fit_dpmhbp_chain, tasks, exec_config, chunksize=1
-            )
+            self.chain_posteriors_ = parallel_map(_fit_dpmhbp_chain, tasks, exec_config)
         finally:
             # Workers that attached keep their mappings alive (POSIX unlink
             # semantics), so releasing immediately after the map is safe —

@@ -207,18 +207,14 @@ class ComparisonResult:
         return paired_t_test(samples(region, model_a), samples(region, model_b))
 
 
-def _comparison_cell(task: CellSpec | tuple) -> RegionRun:
+def _comparison_cell(spec: CellSpec) -> RegionRun:
     """Evaluate one independent (region, repeat) cell.
 
     Module-level (not a closure) so process pools can pickle it. The cell
     carries everything it needs; each worker regenerates / fetches its
     region from the cache and fits a fresh model line-up, so cells are
     independent and their results depend only on the seeds they carry.
-
-    Accepts a :class:`CellSpec` (the canonical form) or the legacy
-    positional 8-tuple, which old pickled call sites may still ship.
     """
-    spec = CellSpec.from_task(task)
     data = prepare_region_data(
         spec.region, seed=spec.seed, scale=spec.scale, feature_config=spec.feature_config
     )
@@ -377,13 +373,11 @@ def run_comparison(
     with telemetry.span(
         "grid", cells=len(specs), pending=len(pending), restored=len(restored)
     ):
-        # chunksize=1: cells are few and expensive (six model fits each) —
-        # batching them would let one slow cell block its batch-mates. The
-        # processes backend reuses a persistent pool across grids, with the
-        # parent's built regions published zero-copy to the workers (see
-        # repro.parallel.pool / repro.parallel.shm).
+        # One map over every pending cell: cells are few and expensive (six
+        # model fits each), so each goes to a worker on its own, and each
+        # worker builds the regions its cells need.
         envelopes = safe_parallel_map(
-            execute_cell, tasks, resolve_executor(jobs, executor), chunksize=1
+            execute_cell, tasks, resolve_executor(jobs, executor)
         )
     # Envelope errors are infrastructure failures (unpicklable factory, dead
     # journal directory, …) — never cell failures, which execute_cell already

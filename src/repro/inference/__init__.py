@@ -1,4 +1,4 @@
-"""From-scratch MCMC substrate: Metropolis steps, Gibbs driver, diagnostics."""
+"""From-scratch MCMC substrate: Metropolis and slice steps, traces, diagnostics."""
 
 from .chains import Trace
 from .diagnostics import (
@@ -8,7 +8,6 @@ from .diagnostics import (
     split_rhat,
     summarise_chain,
 )
-from .gibbs import GibbsSampler
 from .metropolis import (
     TARGET_ACCEPT_1D,
     AcceptanceTracker,
@@ -27,7 +26,6 @@ __all__ = [
     "geweke_zscore",
     "split_rhat",
     "summarise_chain",
-    "GibbsSampler",
     "TARGET_ACCEPT_1D",
     "AcceptanceTracker",
     "AdaptiveScale",

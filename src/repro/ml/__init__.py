@@ -1,16 +1,12 @@
-"""ML substrate: preprocessing, GLMs, linear SVM, kernels."""
+"""ML substrate: preprocessing, GLMs, linear SVM."""
 
 from .glm import LogisticRegression, PoissonRegression
-from .kernels import linear_kernel, polynomial_kernel, rbf_kernel
 from .preprocessing import OneHotEncoder, StandardScaler, add_intercept
 from .svm import LinearSVM
 
 __all__ = [
     "LogisticRegression",
     "PoissonRegression",
-    "linear_kernel",
-    "polynomial_kernel",
-    "rbf_kernel",
     "OneHotEncoder",
     "StandardScaler",
     "add_intercept",

@@ -281,10 +281,10 @@ class ChainHealth:
     Two ways in:
 
     * **live** — pass :meth:`as_callback` as a sampler's per-sweep hook
-      (``DPMHBP(sweep_callback=...)``, ``GibbsSampler(monitor=...)``);
-      every sweep's scalars are recorded into the chain's
-      :class:`~repro.inference.chains.Trace` and mirrored to telemetry
-      gauges (``chain.<name>``) when telemetry is on;
+      (``DPMHBP(sweep_callback=...)``); every sweep's scalars are
+      recorded into the chain's :class:`~repro.inference.chains.Trace`
+      and mirrored to telemetry gauges (``chain.<name>``) when telemetry
+      is on;
     * **bulk** — :meth:`ingest_chain` whole per-sweep series after the
       fact (how :class:`~repro.core.dpmhbp.DPMHBPModel` pools its
       worker-fitted chains).

@@ -1,4 +1,4 @@
-"""Parallel execution layer: executors, persistent pools, shm data plane, caches.
+"""Parallel execution layer: executors, the shm bundle plane, the region cache.
 
 Everything in the repo that fans independent units of work — MCMC chains
 in :class:`~repro.core.dpmhbp.DPMHBPModel`, the (region, repeat) cells of
@@ -7,22 +7,15 @@ in :class:`~repro.core.dpmhbp.DPMHBPModel`, the (region, repeat) cells of
 ``REPRO_JOBS``/``REPRO_EXECUTOR`` environment variables) switches the
 whole pipeline between serial, threaded and multi-process execution.
 
-The processes backend is backed by two subsystems: persistent worker
-pools (:mod:`repro.parallel.pool` — one pool per config, reused across
-maps instead of respawned per call) and a zero-copy shared-memory data
-plane (:mod:`repro.parallel.shm` — frozen array bundles published once,
-workers reconstruct read-only views instead of unpickling copies).
+The processes backend builds one context-managed pool per map. Array
+bundles can travel through :mod:`repro.parallel.shm` (published once,
+resolved as read-only views) instead of one pickle per task.
 
 Every unit of work derives its own RNG seed, so results are bit-identical
 across backends — parallelism changes wall-clock, never numbers.
 """
 
-from .cache import (
-    cached_model_data,
-    clear_model_data_cache,
-    export_shared_region_cache,
-    install_shared_handles,
-)
+from .cache import cached_model_data, clear_model_data_cache
 from .executor import (
     ExecutorConfig,
     WorkError,
@@ -31,20 +24,12 @@ from .executor import (
     resolve_executor,
     safe_parallel_map,
 )
-from .pool import (
-    compute_chunksize,
-    pool_stats,
-    pools_enabled,
-    shutdown_worker_pools,
-)
 from .shm import (
     BundleHandle,
     active_segments,
     publish_bundle,
-    publish_model_data,
     release,
     resolve_bundle,
-    resolve_model_data,
     retain,
     unlink_all,
 )
@@ -57,20 +42,12 @@ __all__ = [
     "active_segments",
     "cached_model_data",
     "clear_model_data_cache",
-    "compute_chunksize",
-    "export_shared_region_cache",
-    "install_shared_handles",
     "parallel_map",
-    "pool_stats",
-    "pools_enabled",
     "publish_bundle",
-    "publish_model_data",
     "release",
     "resolve_bundle",
-    "resolve_model_data",
     "resolve_executor",
     "retain",
     "safe_parallel_map",
-    "shutdown_worker_pools",
     "unlink_all",
 ]

@@ -15,14 +15,6 @@ fields normalised to hashable tuples). Callers must treat the returned
 array is marked non-writeable on insertion, so a model mutating a
 feature matrix in place raises ``ValueError`` instead of silently
 corrupting every sibling's cache hit.
-
-Shared layer: on top of the process-local LRU sits a registry of
-:mod:`repro.parallel.shm` handles. The parent publishes its built
-regions once (:func:`export_shared_region_cache` — called by the
-persistent-pool initializer), workers install the handle list
-(:func:`install_shared_handles`), and a worker-side miss then resolves
-read-only zero-copy views from shared memory instead of regenerating
-the region the parent already built.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from threading import Lock
 import numpy as np
 
 from .. import telemetry
-from . import shm
 from ..data.datasets import load_region
 from ..features.builder import FeatureConfig, ModelData, build_model_data
 from ..network.pipe import PipeClass
@@ -44,9 +35,6 @@ _MAX_ENTRIES = 8
 
 _cache: OrderedDict[tuple, ModelData] = OrderedDict()
 _lock = Lock()
-
-#: Cache key → published (parent) or installed (worker) shm handle.
-_shared_handles: dict[tuple, shm.BundleHandle] = {}
 
 
 def _hashable(value):
@@ -116,23 +104,6 @@ def cached_model_data(
             _cache.move_to_end(key)
             telemetry.count("cache.hit")
             return _cache[key]
-        handle = _shared_handles.get(key)
-    if handle is not None:
-        # A sibling process (usually the pool parent) already built this
-        # region and published it; attach read-only zero-copy views
-        # instead of regenerating. Shm views arrive frozen by contract.
-        try:
-            data = shm.resolve_model_data(handle)
-        except (KeyError, FileNotFoundError, OSError):
-            data = None  # publisher released it; fall through and rebuild
-        if data is not None:
-            telemetry.count("cache.shm_hit")
-            with _lock:
-                _cache[key] = data
-                _cache.move_to_end(key)
-                while len(_cache) > _MAX_ENTRIES:
-                    _cache.popitem(last=False)
-            return data
     telemetry.count("cache.miss")
     with telemetry.span("cache.build", region=region, scale=scale, seed=seed):
         dataset = load_region(region, scale=scale, seed=seed)
@@ -147,63 +118,7 @@ def cached_model_data(
     return data
 
 
-def export_shared_region_cache() -> list[tuple[tuple, shm.BundleHandle]]:
-    """Publish every locally cached region into shared memory, once each.
-
-    Returns the ``(key, handle)`` list a pool initializer ships to fresh
-    workers. Publishing is memoised per key, so repeated pool creations
-    re-copy nothing; the segments live until
-    :func:`clear_model_data_cache` (or process exit via the shm atexit
-    guard).
-    """
-    with _lock:
-        entries = [
-            (key, data) for key, data in _cache.items() if key not in _shared_handles
-        ]
-        already = [
-            (key, handle)
-            for key, handle in _shared_handles.items()
-            if not handle.is_local
-        ]
-    published: list[tuple[tuple, shm.BundleHandle]] = []
-    for key, data in entries:
-        # Force the shm plane regardless of the caller's executor mode:
-        # the whole point is crossing a process boundary.
-        handle = shm.publish_model_data(data, config=_SHM_CONFIG)
-        published.append((key, handle))
-    with _lock:
-        for key, handle in published:
-            _shared_handles.setdefault(key, handle)
-    return already + published
-
-
-class _ForceShm:
-    """Duck-typed config that always selects the shared-memory plane."""
-
-    mode = "processes"
-    jobs = 2
-
-
-_SHM_CONFIG = _ForceShm()
-
-
-def install_shared_handles(items: list[tuple[tuple, shm.BundleHandle]]) -> None:
-    """Adopt published region handles (worker-side pool initializer hook)."""
-    with _lock:
-        for key, handle in items:
-            _shared_handles.setdefault(key, handle)
-
-
 def clear_model_data_cache() -> None:
-    """Drop every cached region (tests; long-running servers on reconfigure).
-
-    Also releases this process's published shared-memory segments — after
-    a clear, ``/dev/shm`` holds nothing of ours (workers that attached
-    keep their mappings alive until they exit; POSIX unlink semantics).
-    """
+    """Drop every cached region (tests; long-running servers on reconfigure)."""
     with _lock:
         _cache.clear()
-        handles = list(_shared_handles.values())
-        _shared_handles.clear()
-    for handle in handles:
-        shm.release(handle)

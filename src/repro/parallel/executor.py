@@ -10,20 +10,15 @@ Backend notes
 -------------
 * ``serial`` — a plain loop; always available, the reference semantics.
 * ``threads`` — ``ThreadPoolExecutor``; effective when the work releases
-  the GIL (NumPy-heavy inner loops) and costs nothing to spawn. Pools are
-  per-call: thread spawn is microseconds, and a shared persistent pool
-  would deadlock on re-entrant maps.
+  the GIL (NumPy-heavy inner loops) and costs nothing to spawn.
 * ``processes`` — requires the mapped function and its arguments to be
-  picklable (module-level functions, plain data). Pools are *persistent*:
-  one ``ProcessPoolExecutor`` per config, reused across calls via
-  :mod:`repro.parallel.pool` (set ``REPRO_POOL_REUSE=0`` for the old
-  per-call behaviour), with worker initializers that attach the shared
-  region cache and the parent's telemetry context. Large array bundles
-  travel through the zero-copy :mod:`repro.parallel.shm` data plane
-  instead of per-task pickles. Maps batch items into chunks
-  (:func:`repro.parallel.pool.compute_chunksize`, or an explicit
-  ``chunksize=``) so many small items stop paying one IPC round-trip
-  each.
+  picklable (module-level functions, plain data). Each map builds its own
+  context-managed ``ProcessPoolExecutor`` sized to the work and joins it
+  before returning, so nested maps inside a worker (a grid cell fitting
+  multi-chain DPMHBP) are safe and no worker outlives its map. Workers
+  trace into the parent's file: a forked worker inherits the recorder, a
+  spawned one reads ``REPRO_TRACE``. Items go one per IPC round-trip,
+  since the repo's maps are a few heavy items (grid cells, MCMC chains).
 
 Because every unit of work seeds its own ``np.random.Generator``, all
 three backends produce bit-identical results; the determinism tests in
@@ -139,23 +134,14 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     config: ExecutorConfig | None = None,
-    chunksize: int | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every item, preserving input order.
 
     The serial path is a plain loop (zero overhead, trivially debuggable).
-    The processes backend reuses a persistent pool per config (see
-    :mod:`repro.parallel.pool`); the threads backend builds a cheap
-    per-call pool capped at ``len(items)`` workers. Worker exceptions
-    propagate to the caller, as they would serially.
-
-    ``chunksize`` batches items per IPC round-trip on the processes
-    backend; ``None`` computes a balanced default. Pass ``chunksize=1``
-    explicitly for few, heavy items (grid cells, MCMC chains) so a slow
-    item never queues behind its batch-mates.
+    The threads and processes backends build a per-call pool capped at
+    ``len(items)`` workers and shut it down before returning. Worker
+    exceptions propagate to the caller, as they would serially.
     """
-    from . import pool as pool_mod
-
     config = config or ExecutorConfig()
     work: Sequence[T] = list(items)
     if not work:
@@ -163,34 +149,12 @@ def parallel_map(
     if config.is_serial or len(work) == 1:
         with telemetry.span("parallel.map", mode="serial", jobs=1, items=len(work)):
             return [fn(item) for item in work]
-    if config.mode == "processes":
-        chunk = chunksize or pool_mod.compute_chunksize(len(work), config.jobs)
-        if pool_mod.pools_enabled():
-            with telemetry.span(
-                "parallel.map",
-                mode=config.mode,
-                jobs=config.jobs,
-                items=len(work),
-                pool="persistent",
-                chunksize=chunk,
-            ):
-                return pool_mod.run_in_pool(config, fn, work, chunk)
-        n_workers = min(config.jobs, len(work))
-        with telemetry.span(
-            "parallel.map",
-            mode=config.mode,
-            jobs=n_workers,
-            items=len(work),
-            pool="per-call",
-            chunksize=chunk,
-        ):
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                return list(pool.map(fn, work, chunksize=chunk))
     n_workers = min(config.jobs, len(work))
+    pool_cls = ProcessPoolExecutor if config.mode == "processes" else ThreadPoolExecutor
     with telemetry.span(
         "parallel.map", mode=config.mode, jobs=n_workers, items=len(work)
     ):
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with pool_cls(max_workers=n_workers) as pool:
             return list(pool.map(fn, work))
 
 
@@ -261,7 +225,6 @@ def safe_parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     config: ExecutorConfig | None = None,
-    chunksize: int | None = None,
 ) -> list[WorkResult[R]]:
     """:func:`parallel_map` with error-wrapping envelopes instead of bare raises.
 
@@ -270,6 +233,4 @@ def safe_parallel_map(
     its siblings. This is the fan-out primitive fault-tolerant callers
     (the journalled experiment grid) build on.
     """
-    return parallel_map(
-        _EnvelopedCall(fn), list(enumerate(items)), config, chunksize=chunksize
-    )
+    return parallel_map(_EnvelopedCall(fn), list(enumerate(items)), config)

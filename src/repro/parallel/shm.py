@@ -1,13 +1,12 @@
 """Zero-copy shared-memory data plane for the process executor.
 
-The process backend used to pay a full pickle round-trip of every array
-bundle per task: ``DPMHBPModel`` shipped the same (failures, features,
-init) arrays to every chain, and each pool worker rebuilt region data the
-parent already had. This module publishes frozen array bundles into
-``multiprocessing.shared_memory`` segments once, and ships only a small
-picklable :class:`BundleHandle` (segment name + per-field dtype/shape/
-offset) — workers reconstruct **read-only zero-copy views** over the
-same physical pages.
+Without it the process backend pays a full pickle round-trip of every
+array bundle per task: ``DPMHBPModel`` would ship the same (failures,
+features, init) arrays to every chain. This module publishes frozen
+array bundles into ``multiprocessing.shared_memory`` segments once, and
+ships only a small picklable :class:`BundleHandle` (segment name +
+per-field dtype/shape/offset) — workers reconstruct **read-only
+zero-copy views** over the same physical pages.
 
 Design rules
 ------------
@@ -40,7 +39,7 @@ import itertools
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any
 
@@ -342,36 +341,3 @@ def unlink_all() -> None:
             seg.shm.unlink()
         except FileNotFoundError:
             pass
-
-
-# --------------------------------------------------------------- ModelData
-#: ``ModelData`` fields that never cross the data plane (per-process cache).
-_MODEL_DATA_SKIP = ("_scaler_cache",)
-
-
-def publish_model_data(data: Any, config: Any = None) -> BundleHandle:
-    """Publish a :class:`~repro.features.builder.ModelData` as one bundle.
-
-    Array fields go into the segment; everything else (ids, years, names)
-    rides the handle's payload. Pass the executor config to keep the
-    serial/threads degenerate path allocation-free.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    payload: dict[str, Any] = {}
-    for f in fields(data):
-        if f.name in _MODEL_DATA_SKIP:
-            continue
-        value = getattr(data, f.name)
-        if isinstance(value, np.ndarray):
-            arrays[f.name] = value
-        else:
-            payload[f.name] = value
-    return publish_bundle(arrays, payload=payload, config=config)
-
-
-def resolve_model_data(handle: BundleHandle) -> Any:
-    """Reconstruct the :class:`ModelData` a handle describes (views read-only)."""
-    from ..features.builder import ModelData
-
-    arrays = resolve_bundle(handle)
-    return ModelData(**handle.payload, **arrays)

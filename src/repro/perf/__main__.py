@@ -77,7 +77,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     from ..core.ranking.ranksvm import RankSVM
     from ..parallel import parallel_map, resolve_executor
     from ..parallel import shm
-    from .benchmarks import _scaling_worker, make_health_noop, make_telemetry_noop
+    from .benchmarks import _fanout_worker, make_telemetry_noop
 
     rng = np.random.default_rng(0)
     failures = (rng.random((500, 11)) < 0.02).astype(np.int8)
@@ -97,8 +97,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         )
         tasks = [(bundle, i) for i in range(8)]
         try:
-            first = parallel_map(_scaling_worker, tasks, config, chunksize=1)
-            second = parallel_map(_scaling_worker, tasks, config, chunksize=1)
+            first = parallel_map(_fanout_worker, tasks, config)
+            second = parallel_map(_fanout_worker, tasks, config)
         finally:
             shm.release(bundle)
         if first != second:
@@ -118,13 +118,10 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         # effectively free, or the permanent hot-path instrumentation is
         # taxing every sweep (see telemetry.recorder).
         "telemetry_noop_200k": make_telemetry_noop(),
-        # Unmonitored-sweep overhead: the health hook with monitor=None
-        # must stay one None check per sweep (see inference.gibbs).
-        "health_noop_50k": make_health_noop(),
         # Fan-out sanity under whatever REPRO_EXECUTOR/REPRO_JOBS the CI
-        # run sets: two maps through the (persistent, when processes-mode)
-        # pool with a published bundle — exercises the shm data plane and
-        # pool-reuse paths end to end, then asserts nothing leaked.
+        # run sets: two maps, each through its own per-call pool when
+        # processes-mode, over a published bundle; the results must agree
+        # and no shared-memory segment may outlive the release.
         "parallel_fanout": _fanout_check,
     }
     failed = False

@@ -120,12 +120,13 @@ def make_run_journal() -> Callable[[], Any]:
     return run_roundtrip
 
 
-def _scaling_worker(task: "tuple[Any, int]") -> float:
-    """Light reduction over one row of a shared bundle (new data plane).
+def _fanout_worker(task: "tuple[Any, int]") -> float:
+    """Light reduction over one row of a published bundle.
 
     Module-level so process pools can pickle it. The handle travels in the
     task tuple — a few hundred bytes — and the arrays are resolved as
-    read-only zero-copy views on the worker side.
+    read-only zero-copy views on the worker side. The perf smoke's
+    ``parallel_fanout`` check maps it.
     """
     from ..parallel import shm
 
@@ -133,72 +134,6 @@ def _scaling_worker(task: "tuple[Any, int]") -> float:
     arrays = shm.resolve_bundle(handle)
     x = arrays["x"]
     return float(x[i % x.shape[0]].sum())
-
-
-def _percall_worker(task: "tuple[np.ndarray, int]") -> float:
-    """The pre-PR shape of the same work: the full array pickled per task."""
-    x, i = task
-    return float(x[i % x.shape[0]].sum())
-
-
-_SCALING_SHAPE = (8, 75_000)  # ~4.8 MB of float64 — a generated-region-sized payload
-_SCALING_MAPS = 6  # successive grids/chain fits in one process
-_SCALING_TASKS = 8  # fan-out width per map
-
-
-def make_parallel_scaling() -> Callable[[], Any]:
-    """Six 8-task process-pool maps through the persistent pool + shm plane.
-
-    Models the run_comparison shape: one parent publishing a large frozen
-    array bundle once, then repeatedly fanning light per-cell work across
-    a process pool. The persistent pool is warmed in setup (exactly what
-    a real second map call sees) and each task ships only a handle, so
-    the measurement isolates the steady-state dispatch cost the PR
-    optimises. Compare against ``parallel_scaling_percall``.
-    """
-    from ..parallel import ExecutorConfig, parallel_map
-    from ..parallel import shm
-
-    config = ExecutorConfig(mode="processes", jobs=2)
-    rng = np.random.default_rng(0)
-    bundle = shm.publish_bundle(
-        {"x": rng.standard_normal(_SCALING_SHAPE)}, config=config
-    )
-    tasks = [(bundle, i) for i in range(_SCALING_TASKS)]
-    parallel_map(_scaling_worker, tasks, config, chunksize=1)  # warm the pool
-
-    def run() -> float:
-        total = 0.0
-        for _ in range(_SCALING_MAPS):
-            total += sum(parallel_map(_scaling_worker, tasks, config, chunksize=1))
-        return total
-
-    return run
-
-
-def make_parallel_scaling_percall() -> Callable[[], Any]:
-    """The pre-PR baseline for ``parallel_scaling``: per-call pools, pickled arrays.
-
-    Same workload, same results, but each map spawns (and tears down) a
-    fresh ``ProcessPoolExecutor`` and every task pickles the full array —
-    exactly what ``parallel_map`` did before the persistent-pool and
-    shared-memory data plane landed. The BENCH snapshot ratio between the
-    two is the PR's headline win.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(_SCALING_SHAPE)
-    tasks = [(x, i) for i in range(_SCALING_TASKS)]
-
-    def run() -> float:
-        total = 0.0
-        for _ in range(_SCALING_MAPS):
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                total += sum(pool.map(_percall_worker, tasks, chunksize=1))
-        return total
-
-    return run
 
 
 def make_shm_roundtrip() -> Callable[[], Any]:
@@ -253,26 +188,6 @@ def make_telemetry_noop() -> Callable[[], Any]:
     return run
 
 
-def make_health_noop() -> Callable[[], Any]:
-    """50k unmonitored Gibbs sweeps — the cost the health hook leaves behind.
-
-    The :class:`~repro.inference.gibbs.GibbsSampler` sweep loop gained a
-    per-sweep monitor hook; with ``monitor=None`` (the default) that hook
-    must stay one ``None`` check, not a scalars-dict build. This probe
-    times a trivial one-block sampler so any accidental work on the
-    unmonitored path shows up here, mirroring ``telemetry_noop``.
-    """
-    from ..inference.gibbs import GibbsSampler
-
-    def run() -> int:
-        sampler = GibbsSampler(state={"x": 0.0}, rng=np.random.default_rng(0))
-        sampler.add_block("noop", lambda state, rng: {"accept": 1.0})
-        sampler.run(50_000)
-        return 0
-
-    return run
-
-
 #: Registry consumed by ``repro.perf.run_benchmarks`` — name → factory.
 BENCHMARKS: dict[str, Benchmark] = {
     "dpmhbp_sweeps": make_dpmhbp_sweeps,
@@ -281,9 +196,6 @@ BENCHMARKS: dict[str, Benchmark] = {
     "empirical_auc": make_empirical_auc,
     "es_generation": make_es_generation,
     "run_journal": make_run_journal,
-    "parallel_scaling": make_parallel_scaling,
-    "parallel_scaling_percall": make_parallel_scaling_percall,
     "shm_roundtrip": make_shm_roundtrip,
     "telemetry_noop": make_telemetry_noop,
-    "health_noop": make_health_noop,
 }

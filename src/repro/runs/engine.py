@@ -29,7 +29,6 @@ itself as completed after the grid marked it failed.
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -39,30 +38,6 @@ from .. import telemetry
 from .faults import CancelToken, FaultInjector, call_with_timeout
 from .journal import RunJournal
 from .spec import CellSpec
-
-#: Per-process memo of opened journals. Persistent pool workers execute
-#: many cells against the same run directory; the manifest is immutable
-#: once created, so re-reading and re-validating it on every attempt is
-#: pure wasted I/O. Bounded: a process rarely touches more than a couple
-#: of run directories.
-_MAX_OPEN_JOURNALS = 16
-_journal_lock = threading.Lock()
-_open_journals: dict[str, RunJournal] = {}
-
-
-def _open_journal(run_dir: str) -> RunJournal:
-    """Memoized ``RunJournal.open`` (safe: journals are stateless appenders)."""
-    key = str(run_dir)
-    with _journal_lock:
-        journal = _open_journals.get(key)
-        if journal is not None:
-            return journal
-    journal = RunJournal.open(run_dir)
-    with _journal_lock:
-        while len(_open_journals) >= _MAX_OPEN_JOURNALS:
-            _open_journals.pop(next(iter(_open_journals)))
-        _open_journals[key] = journal
-    return journal
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..eval.experiment import RegionRun
@@ -129,7 +104,7 @@ def execute_cell(
     finished cell atomically before returning.
     """
     spec, compute, run_dir, policy = task
-    journal = _open_journal(run_dir) if run_dir else None
+    journal = RunJournal.open(run_dir) if run_dir else None
     cell_id = spec.cell_id
     from ..eval.experiment import NoTestFailuresError
 

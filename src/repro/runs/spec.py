@@ -1,16 +1,10 @@
 """Cell identity: the frozen spec of one (region, repeat) experiment cell.
 
-:class:`CellSpec` replaces the positional 8-tuple that
-:func:`repro.eval.experiment.run_comparison` used to ship to its workers.
-It is the *on-disk identity* of a cell: :class:`~repro.runs.journal.RunJournal`
-keys checkpoints by :attr:`CellSpec.cell_id` and stores
-:meth:`CellSpec.identity` alongside them, so a resumed run can prove it is
-re-assembling the same grid.
-
-The legacy tuple layout ``(region, repeat, seed, scale, budget, fast,
-feature_config, models_factory)`` is still accepted everywhere a spec is —
-:meth:`CellSpec.from_task` is the shim that keeps old pickled call sites
-working.
+:class:`CellSpec` is what :func:`repro.eval.experiment.run_comparison`
+ships to its workers. It is the *on-disk identity* of a cell:
+:class:`~repro.runs.journal.RunJournal` keys checkpoints by
+:attr:`CellSpec.cell_id` and stores :meth:`CellSpec.identity` alongside
+them, so a resumed run can prove it is re-assembling the same grid.
 """
 
 from __future__ import annotations
@@ -82,20 +76,3 @@ class CellSpec:
     def reseeded(self, attempt: int) -> "CellSpec":
         """The deterministic retry spec for the no-test-failures fallback."""
         return self.with_seed((self.seed or 0) + RESEED_OFFSET + attempt)
-
-    @classmethod
-    def from_task(cls, task: "CellSpec | tuple") -> "CellSpec":
-        """Accept a spec or the legacy positional 8-tuple (pickled callers)."""
-        if isinstance(task, CellSpec):
-            return task
-        region, repeat, seed, scale, budget, fast, feature_config, models_factory = task
-        return cls(
-            region=region,
-            repeat=repeat,
-            seed=seed,
-            scale=scale,
-            budget=budget,
-            fast=fast,
-            feature_config=feature_config,
-            models_factory=models_factory,
-        )

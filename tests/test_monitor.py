@@ -25,7 +25,6 @@ from repro import telemetry
 from repro.cli import main as cli_main
 from repro.core.dpmhbp import DPMHBP, DPMHBPModel, DPMHBPPosterior
 from repro.eval.experiment import ModelEvaluation, RegionRun
-from repro.inference.gibbs import GibbsSampler
 from repro.monitor import (
     ChainHealth,
     HealthReport,
@@ -352,41 +351,6 @@ class TestDPMHBPHealth:
             n_sweeps=4, burn_in=0, n_chains=1, jobs=1, monitor=False
         ).fit(small_model_data)
         assert model.health_ is None
-
-
-class TestGibbsMonitorHook:
-    def _sampler(self, monitor=None):
-        rng = np.random.default_rng(0)
-        sampler = GibbsSampler(
-            state={"x": 0.0},
-            rng=rng,
-            trace_fn=lambda state: {"x": state["x"], "vec": np.zeros(3)},
-            monitor=monitor,
-            monitor_chain=2,
-        )
-
-        def step(state, rng):
-            state["x"] += rng.standard_normal()
-            return {"accept": 1.0}
-
-        return sampler.add_block("walk", step)
-
-    def test_monitor_records_block_stats_and_scalar_trace(self):
-        health = ChainHealth()
-        self._sampler(monitor=health).run(30)
-        trace = health.chain_trace(2)
-        assert trace.get("walk.accept").size == 30
-        assert trace.get("x").size == 30
-        assert "vec" not in trace  # non-scalar quantities are not health material
-
-    def test_unmonitored_sampler_is_unchanged(self):
-        sampler = self._sampler(monitor=None)
-        sampler.run(10)
-        assert len(sampler.diagnostics["walk.accept"]) == 10
-        assert sampler.trace.get("x").size == 10
-
-
-# ---------------------------------------------------------------- drift/doctor
 
 
 def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run"):

@@ -2,6 +2,7 @@
 guarantee — serial, threaded and multi-process execution are bit-identical
 for fixed seeds, both for DPMHBP chains and for ``run_comparison`` cells."""
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +16,7 @@ from repro.parallel import (
     ExecutorConfig,
     cached_model_data,
     clear_model_data_cache,
-    compute_chunksize,
     parallel_map,
-    pool_stats,
-    pools_enabled,
     resolve_executor,
 )
 
@@ -30,9 +28,9 @@ def _square(x):
     return x * x
 
 
-def _pools_enabled_in_worker(_):
-    """Reports whether the executing process would use persistent pools."""
-    return pools_enabled()
+def _nested_squares(n):
+    """Runs its own processes/2 map from inside a pool worker."""
+    return parallel_map(_square, range(n), ExecutorConfig(mode="processes", jobs=2))
 
 
 def _light_models(seed):
@@ -118,54 +116,24 @@ class TestParallelMap:
         with pytest.raises(ZeroDivisionError):
             parallel_map(lambda x: 1 // x, [1, 0], ExecutorConfig(mode="threads", jobs=2))
 
-    def test_explicit_chunksize_accepted_on_every_backend(self):
-        for mode in EXECUTORS:
-            config = ExecutorConfig(mode=mode, jobs=2 if mode != "serial" else 1)
-            assert parallel_map(_square, range(7), config, chunksize=3) == [
-                x * x for x in range(7)
-            ]
+    def test_nested_process_maps_return(self):
+        """A processes map inside a processes worker completes and joins.
 
-
-class TestPersistentPools:
-    def test_chunksize_balances_waves(self):
-        assert compute_chunksize(1, 4) == 1
-        assert compute_chunksize(8, 2) == 1
-        assert compute_chunksize(64, 2) == 8
-        assert compute_chunksize(1000, 4) == 62
-
-    def test_pool_reused_across_maps(self):
-        assert pools_enabled()
-        config = ExecutorConfig(mode="processes", jobs=2)
-        before = pool_stats()
-        parallel_map(_square, range(4), config)
-        parallel_map(_square, range(4), config)
-        after = pool_stats()
-        # At least one of the two maps hit an existing pool (the first may
-        # itself reuse a pool from an earlier test — that's the point).
-        assert after["reused"] >= before["reused"] + 1
-        assert after["created"] <= before["created"] + 1
-
-    def test_workers_never_nest_persistent_pools(self):
-        """Nested fan-out inside a worker must stay per-call.
-
-        A persistent grandchild pool outlives its map and wedges the
-        worker's interpreter shutdown (regression: `repro grid --executor
-        processes` hung at exit because every cell's multi-chain DPMHBP
-        fit built a persistent pool inside its worker).
+        Each worker builds (and shuts down) its own inner pool, so no
+        grandchild pool outlives its map and wedges the worker at exit —
+        the hang `repro grid --executor processes` once hit when every
+        cell's multi-chain DPMHBP fit fanned out inside its worker.
         """
         config = ExecutorConfig(mode="processes", jobs=2)
-        flags = parallel_map(_pools_enabled_in_worker, range(4), config, chunksize=1)
-        assert flags == [False] * 4
-        assert pools_enabled()  # the parent itself still reuses pools
-
-    def test_pool_reuse_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_REUSE", "0")
-        assert not pools_enabled()
-        before = pool_stats()
-        config = ExecutorConfig(mode="processes", jobs=2)
-        assert parallel_map(_square, range(4), config) == [x * x for x in range(4)]
-        # The per-call path never touches the registry.
-        assert pool_stats() == before
+        out = []
+        runner = threading.Thread(
+            target=lambda: out.append(parallel_map(_nested_squares, [2, 3, 4], config)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "nested process maps did not return"
+        assert out == [[[x * x for x in range(n)] for n in (2, 3, 4)]]
 
 
 @dataclass

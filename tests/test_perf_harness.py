@@ -39,11 +39,8 @@ class TestTiming:
             "empirical_auc",
             "es_generation",
             "run_journal",
-            "parallel_scaling",
-            "parallel_scaling_percall",
             "shm_roundtrip",
             "telemetry_noop",
-            "health_noop",
         }
 
     def test_unknown_benchmark_rejected(self):

@@ -92,21 +92,6 @@ class TestCellSpec:
     def test_cell_id(self):
         assert CellSpec(region="B", repeat=7).cell_id == "B-r007"
 
-    def test_legacy_tuple_shim(self):
-        task = ("A", 2, 1002, 0.1, 0.01, True, None, _light_models)
-        spec = CellSpec.from_task(task)
-        assert spec == CellSpec(
-            region="A",
-            repeat=2,
-            seed=1002,
-            scale=0.1,
-            budget=0.01,
-            fast=True,
-            feature_config=None,
-            models_factory=_light_models,
-        )
-        assert CellSpec.from_task(spec) is spec
-
     def test_reseeded_is_deterministic_and_keeps_identity(self):
         spec = CellSpec(region="A", repeat=1, seed=11)
         assert spec.reseeded(1) == spec.reseeded(1)

@@ -1,11 +1,11 @@
-"""Lifetime tests for the shared-memory data plane and persistent pools.
+"""Lifetime tests for the shared-memory data plane.
 
 The contract under test: every segment this process publishes is gone —
 from the owner registry *and* from ``/dev/shm`` — after the normal
-release path, after a worker raises mid-map, after a worker is killed
-hard enough to break the pool, and after the shared region cache is
-cleared. A leaked segment survives process exit on Linux, so these are
-the tests that keep long CI runs from filling the shm tmpfs.
+release path, after a worker raises mid-map, and after a worker is
+killed hard enough to break the pool. A leaked segment survives process
+exit on Linux, so these are the tests that keep long CI runs from
+filling the shm tmpfs.
 """
 
 import os
@@ -18,34 +18,16 @@ from repro.core.dpmhbp import DPMHBPModel
 from repro.parallel import (
     ExecutorConfig,
     active_segments,
-    cached_model_data,
-    clear_model_data_cache,
-    export_shared_region_cache,
     parallel_map,
-    pool_stats,
     publish_bundle,
-    publish_model_data,
     release,
     resolve_bundle,
-    resolve_model_data,
     retain,
 )
 from repro.parallel.shm import SEGMENT_PREFIX
 
 PROCS = ExecutorConfig(mode="processes", jobs=2)
 SERIAL = ExecutorConfig()
-
-
-@pytest.fixture(autouse=True)
-def _clean_shared_state():
-    """Start each test with no cached regions or exported segments.
-
-    Pool creation snapshots the region cache into shared memory
-    (``export_shared_region_cache``), so leftovers from earlier test
-    modules would otherwise make the leak assertions here ambiguous.
-    """
-    clear_model_data_cache()
-    yield
 
 
 def _dev_shm_entries() -> list[str]:
@@ -145,49 +127,11 @@ class TestBundleLifetime:
         assert _dev_shm_entries() == []
 
 
-class TestModelDataPlane:
-    def test_model_data_roundtrip(self):
-        clear_model_data_cache()
-        data = cached_model_data("A", scale=0.05, seed=9)
-        handle = publish_model_data(data, config=PROCS)
-        try:
-            rebuilt = resolve_model_data(handle)
-            assert rebuilt.region == data.region
-            assert rebuilt.pipe_ids == data.pipe_ids
-            assert np.array_equal(rebuilt.X_pipe, data.X_pipe)
-            assert np.array_equal(rebuilt.seg_fail_train, data.seg_fail_train)
-            assert not rebuilt.X_pipe.flags.writeable
-        finally:
-            release(handle)
-        assert _dev_shm_entries() == []
-
-    def test_clear_cache_releases_exported_segments(self):
-        clear_model_data_cache()
-        cached_model_data("A", scale=0.05, seed=9)
-        exported = export_shared_region_cache()
-        assert len(exported) == 1
-        assert not exported[0][1].is_local
-        assert active_segments() != []
-        clear_model_data_cache()
-        assert active_segments() == []
-        assert _dev_shm_entries() == []
-
-    def test_export_is_memoised(self):
-        clear_model_data_cache()
-        cached_model_data("A", scale=0.05, seed=9)
-        first = export_shared_region_cache()
-        second = export_shared_region_cache()
-        assert [h.segment for _, h in first] == [h.segment for _, h in second]
-        clear_model_data_cache()
-
-
 class TestFanOutLifetime:
     def test_map_then_release_leaves_nothing(self):
         handle = publish_bundle(_arrays(), config=PROCS)
         try:
-            results = parallel_map(
-                _sum_field, [(handle, i) for i in range(6)], PROCS, chunksize=1
-            )
+            results = parallel_map(_sum_field, [(handle, i) for i in range(6)], PROCS)
         finally:
             release(handle)
         assert len(results) == 6
@@ -198,9 +142,7 @@ class TestFanOutLifetime:
         handle = publish_bundle(_arrays(), config=PROCS)
         with pytest.raises(ValueError, match="odd"):
             try:
-                parallel_map(
-                    _raise_on_odd, [(handle, i) for i in range(4)], PROCS, chunksize=1
-                )
+                parallel_map(_raise_on_odd, [(handle, i) for i in range(4)], PROCS)
             finally:
                 release(handle)
         assert active_segments() == []
@@ -210,23 +152,17 @@ class TestFanOutLifetime:
         from concurrent.futures.process import BrokenProcessPool
 
         handle = publish_bundle(_arrays(), config=PROCS)
-        before = pool_stats()
         # Two items: a single-item map short-circuits to the in-process
         # serial path, which would kill the test process itself.
         with pytest.raises(BrokenProcessPool):
             try:
-                parallel_map(
-                    _kill_self, [(handle, 0), (handle, 1)], PROCS, chunksize=1
-                )
+                parallel_map(_kill_self, [(handle, 0), (handle, 1)], PROCS)
             finally:
                 release(handle)
-        assert pool_stats()["evicted"] == before["evicted"] + 1
-        # The broken pool was retired: the next map gets a fresh one and works.
+        # The broken pool died with its map: the next map gets a fresh one.
         fresh = publish_bundle(_arrays(), config=PROCS)
         try:
-            results = parallel_map(
-                _sum_field, [(fresh, i) for i in range(3)], PROCS, chunksize=1
-            )
+            results = parallel_map(_sum_field, [(fresh, i) for i in range(3)], PROCS)
         finally:
             release(fresh)
         assert len(results) == 3

@@ -20,6 +20,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main as cli_main
 from repro.eval.experiment import ModelEvaluation, RegionRun
+from repro.parallel import ExecutorConfig, safe_parallel_map
 from repro.runs import CellSpec, JournalError, RunJournal
 from repro.telemetry import (
     TRACE_ENV,
@@ -38,6 +39,11 @@ from repro.telemetry import (
     summarize_trace,
     write_metrics,
 )
+
+
+def _double(x):
+    """Module-level so process pools can pickle it."""
+    return 2 * x
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +225,18 @@ class TestTraceFile:
             pass
         names = {r["name"] for r in read_trace(path) if r["kind"] == "span"}
         assert names == {"parent", "worker"}
+
+    def test_process_pool_workers_trace_into_parent_file(self, tmp_path):
+        """Real pool workers, not a simulated second recorder, reach the file."""
+        path = tmp_path / "trace.jsonl"
+        telemetry.configure(trace_path=path)
+        results = safe_parallel_map(_double, range(4), ExecutorConfig(mode="processes", jobs=2))
+        assert [r.unwrap() for r in results] == [0, 2, 4, 6]
+        spans = [r for r in read_trace(path) if r["kind"] == "span"]
+        worker_pids = {r["pid"] for r in spans if r["name"] == "parallel.worker"}
+        assert sum(r["name"] == "parallel.worker" for r in spans) == 4
+        assert worker_pids and os.getpid() not in worker_pids
+        assert [r["pid"] for r in spans if r["name"] == "parallel.map"] == [os.getpid()]
 
     def test_unwritable_trace_path_never_raises(self, tmp_path):
         telemetry.configure(trace_path=tmp_path / "trace.jsonl")
