@@ -54,15 +54,8 @@ mean in one batch.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import betaln
@@ -76,9 +69,6 @@ from ..monitor.health import ChainHealth, HealthReport
 from ..parallel import shm
 from ..parallel.executor import parallel_map, resolve_executor
 from .base import FailureModel
-
-#: Per-sweep scalars handed to ``sweep_callback`` and the health monitor.
-SweepCallback = Callable[[int, Mapping[str, float]], None]
 
 
 def _betaln_scalar(a: float, b: float) -> float:
@@ -142,11 +132,8 @@ class DPMHBPPosterior:
     last_assignments: np.ndarray  # (n_segments,)
     last_q: np.ndarray  # (K,) group rates at the final sweep
     accept_rate_q: float
-    #: Per-sweep collapsed Beta–Binomial log-likelihood; empty when the
-    #: posterior was restored from a pre-monitoring checkpoint.
-    log_lik_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: Per-sweep q-block acceptance rate; empty on old checkpoints.
-    accept_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    log_lik_trace: np.ndarray  # (n_sweeps,) collapsed Beta–Binomial log-likelihood
+    accept_trace: np.ndarray  # (n_sweeps,) q-block acceptance rate
 
     def credible_interval(self, z: float = 1.64) -> tuple[np.ndarray, np.ndarray]:
         """Normal-approximation central interval for each segment's ρ.
@@ -158,73 +145,6 @@ class DPMHBPPosterior:
         lo = np.clip(self.rho_mean - z * self.rho_std, 0.0, 1.0)
         hi = np.clip(self.rho_mean + z * self.rho_std, 0.0, 1.0)
         return lo, hi
-
-    def save(self, path: str | Path) -> Path:
-        """Checkpoint this posterior to an ``.npz``, atomically.
-
-        The temp-file + ``os.replace`` dance means a killed process leaves
-        either the previous checkpoint or none — never a torn file that
-        :meth:`load` would half-read.
-        """
-        path = Path(path)
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            rho_mean=self.rho_mean,
-            rho_std=self.rho_std,
-            n_clusters_trace=self.n_clusters_trace,
-            last_assignments=self.last_assignments,
-            last_q=self.last_q,
-            accept_rate_q=np.asarray(self.accept_rate_q),
-            log_lik_trace=self.log_lik_trace,
-            accept_trace=self.accept_trace,
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buffer.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DPMHBPPosterior":
-        """Restore a posterior checkpoint written by :meth:`save`.
-
-        Raises ``ValueError`` on a truncated/corrupt or wrong-format file,
-        so callers can fall back to refitting the chain.
-        """
-        try:
-            with np.load(Path(path)) as arrays:
-                return cls(
-                    rho_mean=arrays["rho_mean"],
-                    rho_std=arrays["rho_std"],
-                    n_clusters_trace=arrays["n_clusters_trace"],
-                    last_assignments=arrays["last_assignments"],
-                    last_q=arrays["last_q"],
-                    accept_rate_q=float(arrays["accept_rate_q"]),
-                    # Pre-monitoring checkpoints lack the sweep traces;
-                    # empty arrays keep them loadable (the health monitor
-                    # simply has fewer quantities to judge).
-                    log_lik_trace=(
-                        arrays["log_lik_trace"]
-                        if "log_lik_trace" in arrays.files
-                        else np.zeros(0)
-                    ),
-                    accept_trace=(
-                        arrays["accept_trace"]
-                        if "accept_trace" in arrays.files
-                        else np.zeros(0)
-                    ),
-                )
-        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"corrupt DPMHBP chain checkpoint {path}: {exc}") from exc
 
 
 class _ClusterState:
@@ -299,12 +219,6 @@ class DPMHBP:
     n_sweeps: int = 60
     burn_in: int = 20
     seed: int = 0
-    #: Optional per-sweep hook ``callback(sweep, scalars)`` receiving
-    #: ``n_clusters`` / ``log_lik`` / ``accept_q`` after every sweep —
-    #: e.g. :meth:`repro.monitor.ChainHealth.as_callback` for live
-    #: convergence monitoring. Must be picklable (or None) when chains
-    #: fan out over a process executor.
-    sweep_callback: SweepCallback | None = None
 
     def fit(
         self,
@@ -575,15 +489,6 @@ class DPMHBP:
             accept_trace.append(sweep_accept)
             q_accepts_prev, q_props_prev = q_accepts, q_props
             telemetry.count("dpmhbp.sweeps")
-            if self.sweep_callback is not None:
-                self.sweep_callback(
-                    sweep,
-                    {
-                        "n_clusters": float(state.k),
-                        "log_lik": log_lik,
-                        "accept_q": sweep_accept,
-                    },
-                )
 
             # ---- Accumulate posterior mean ρ (collapsed conditional mean) ----
             if sweep >= self.burn_in:
@@ -607,52 +512,19 @@ class DPMHBP:
         )
 
 
-def _write_json_atomic(path: Path, payload: dict) -> Path:
-    """Write a JSON document via same-dir temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def _fit_dpmhbp_chain(task: tuple) -> DPMHBPPosterior:
     """Run one chain of the sampler (module-level so processes can pickle it).
 
-    The task is ``(sampler, handle, ckpt_path)`` — the training
-    arrays travel once through the :mod:`repro.parallel.shm` data plane
-    and every chain resolves read-only zero-copy views, instead of each
-    task pickling its own copy of the same (failures, features, init)
-    bundle.
-
-    With a checkpoint path, the chain restores a valid prior checkpoint
-    instead of re-sampling (bit-identical — the checkpoint *is* the chain's
-    result), and saves its posterior atomically after a fresh fit; corrupt
-    checkpoints are discarded and refit.
+    The task is ``(sampler, handle)`` — the training arrays travel once
+    through the :mod:`repro.parallel.shm` data plane and every chain
+    resolves read-only zero-copy views, instead of each task pickling its
+    own copy of the same (failures, features, init) bundle.
     """
-    sampler, handle, ckpt_path = task
+    sampler, handle = task
     arrays = shm.resolve_bundle(handle)
     failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
-    if ckpt_path is not None and Path(ckpt_path).exists():
-        try:
-            restored = DPMHBPPosterior.load(ckpt_path)
-            telemetry.count("dpmhbp.chain.restored")
-            return restored
-        except ValueError:
-            pass  # corrupt/stale checkpoint: refit and overwrite below
     with telemetry.span("dpmhbp.chain", seed=sampler.seed):
-        posterior = sampler.fit(failures, features, init_labels=init)
-    if ckpt_path is not None:
-        posterior.save(ckpt_path)
-    return posterior
+        return sampler.fit(failures, features, init_labels=init)
 
 
 @dataclass
@@ -668,7 +540,10 @@ class DPMHBPModel(FailureModel):
     Chains are independent given their derived seeds, so they fan across
     the executor configured by ``jobs``/``executor`` (or the
     ``REPRO_JOBS``/``REPRO_EXECUTOR`` environment variables) with
-    bit-identical results on every backend.
+    bit-identical results on every backend. After fitting, ``health_``
+    holds the chains' pooled convergence report, which
+    :func:`~repro.eval.experiment.evaluate_models` carries into the run
+    journal for ``repro doctor``.
     """
 
     name: str = "DPMHBP"
@@ -684,15 +559,6 @@ class DPMHBPModel(FailureModel):
     seed: int = 0
     jobs: int | None = None
     executor: str | None = None
-    #: Pool the chains' per-sweep traces into a convergence
-    #: :class:`~repro.monitor.HealthReport` after fitting (stored on
-    #: ``health_``; also written to ``checkpoint_dir/health.json`` when
-    #: checkpointing). Thresholds come from ``REPRO_HEALTH_*`` env vars.
-    monitor: bool = True
-    #: Directory for per-chain posterior checkpoints (``chain_<i>.npz``).
-    #: A refit with the same configuration restores finished chains instead
-    #: of re-sampling them — the chain-level resume a killed cell relies on.
-    checkpoint_dir: str | None = None
     posterior_: DPMHBPPosterior | None = field(default=None, repr=False)
     chain_posteriors_: list[DPMHBPPosterior] = field(default_factory=list, repr=False)
     health_: HealthReport | None = field(default=None, repr=False)
@@ -731,11 +597,6 @@ class DPMHBPModel(FailureModel):
                     seed=self.seed + 101 * chain,
                 ),
                 bundle,
-                (
-                    str(Path(self.checkpoint_dir) / f"chain_{chain}.npz")
-                    if self.checkpoint_dir is not None
-                    else None
-                ),
             )
             for chain in range(self.n_chains)
         ]
@@ -762,8 +623,10 @@ class DPMHBPModel(FailureModel):
             accept_rate_q=float(
                 np.mean([p.accept_rate_q for p in self.chain_posteriors_])
             ),
+            log_lik_trace=last.log_lik_trace,
+            accept_trace=last.accept_trace,
         )
-        self.health_ = self._pool_health() if self.monitor else None
+        self.health_ = self._pool_health()
         if self.covariates:
             counts = data.pipe_fail_train.sum(axis=1).astype(float)
             exposure = np.full(data.n_pipes, float(data.pipe_fail_train.shape[1]))
@@ -776,28 +639,20 @@ class DPMHBPModel(FailureModel):
     def _pool_health(self) -> HealthReport:
         """Fold the chains' per-sweep traces into one convergence report.
 
-        Chains run in (possibly process-pool) workers, so the monitor
-        cannot observe them live — their recorded traces are bulk-ingested
-        here instead. Post-burn-in sweeps only, matching what the pooled
-        posterior itself retains. Old checkpoints without sweep traces
-        contribute ``n_clusters`` only.
+        Chains run in (possibly process-pool) workers, so their recorded
+        traces are bulk-ingested here. Post-burn-in sweeps only, matching
+        what the pooled posterior itself retains.
         """
         health = ChainHealth(burn_in=self.burn_in)
         for posterior in self.chain_posteriors_:
-            series: dict[str, np.ndarray] = {
-                "n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float)
-            }
-            if posterior.log_lik_trace.size:
-                series["log_lik"] = posterior.log_lik_trace
-            if posterior.accept_trace.size:
-                series["accept_q"] = posterior.accept_trace
-            health.ingest_chain(series)
-        report = health.report()
-        if self.checkpoint_dir is not None:
-            _write_json_atomic(
-                Path(self.checkpoint_dir) / "health.json", report.to_json()
+            health.ingest_chain(
+                {
+                    "n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float),
+                    "log_lik": posterior.log_lik_trace,
+                    "accept_q": posterior.accept_trace,
+                }
             )
-        return report
+        return health.report()
 
     def predict_pipe_risk(self, data: ModelData) -> np.ndarray:
         if self.posterior_ is None or self._factor is None:

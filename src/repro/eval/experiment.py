@@ -24,6 +24,7 @@ from ..core.hbp import HBPBestModel
 from ..core.ranking.model import AUCRankingModel, SVMRankingModel
 from ..core.survival_models import CoxPHModel, WeibullModel
 from ..features.builder import FeatureConfig, ModelData
+from ..monitor.health import HealthReport
 from ..network.pipe import PipeClass
 from ..parallel import cached_model_data, resolve_executor, safe_parallel_map
 from ..runs.engine import CellExecutionError, CellOutcome, RunPolicy, execute_cell
@@ -62,6 +63,7 @@ class ModelEvaluation:
     auc: float
     auc_budget_permyriad: float  # AUC over [0, 1%] in ‱
     budget: float = 0.01
+    health: HealthReport | None = None  # the fit's chain convergence (MCMC models)
 
     def curve(self, labels: np.ndarray, lengths: np.ndarray | None = None) -> DetectionCurve:
         """Detection curve against the given labels."""
@@ -140,7 +142,11 @@ def evaluate_models(
     region: str = "?",
     seed: int = 0,
 ) -> RegionRun:
-    """Fit and score every model on one prepared region."""
+    """Fit and score every model on one prepared region.
+
+    A model that fitted chains leaves its convergence report on
+    ``health_``; it travels on the evaluation into the run journal.
+    """
     labels = data.pipe_fail_test
     if labels.sum() == 0:
         raise NoTestFailuresError(
@@ -160,6 +166,7 @@ def evaluate_models(
             auc=empirical_auc(scores, labels),
             auc_budget_permyriad=permyriad(auc_at_budget(scores, labels, budget=budget)),
             budget=budget,
+            health=getattr(model, "health_", None),
         )
     return run
 

@@ -6,11 +6,9 @@ from .diagnostics import (
     effective_sample_size,
     geweke_zscore,
     split_rhat,
-    summarise_chain,
 )
 from .metropolis import (
     TARGET_ACCEPT_1D,
-    AcceptanceTracker,
     AdaptiveScale,
     expit,
     logit,
@@ -25,9 +23,7 @@ __all__ = [
     "effective_sample_size",
     "geweke_zscore",
     "split_rhat",
-    "summarise_chain",
     "TARGET_ACCEPT_1D",
-    "AcceptanceTracker",
     "AdaptiveScale",
     "expit",
     "logit",

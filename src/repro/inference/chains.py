@@ -1,13 +1,8 @@
-"""Trace storage for MCMC runs: burn-in, thinning, summaries, checkpoints."""
+"""Trace storage for MCMC runs: burn-in, thinning, summaries."""
 
 from __future__ import annotations
 
-import io
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -86,46 +81,3 @@ class Trace:
         if samples.size == 0:
             raise ValueError(f"no samples of {name!r} retained after burn-in/thinning")
         return np.quantile(samples, q, axis=0)
-
-    def save(self, path: str | Path) -> Path:
-        """Checkpoint the trace to an ``.npz``, atomically.
-
-        Each quantity is stored as its stacked sample array (quantities
-        are fixed-shape per the class contract). The write goes through a
-        same-directory temp file + ``os.replace``, so an interrupted save
-        never leaves a torn checkpoint for :meth:`load` to trip on.
-        """
-        path = Path(path)
-        arrays = {name: self.get(name) for name in self.names()}
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buffer.getvalue())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        """Restore a trace checkpoint written by :meth:`save`.
-
-        Raises ``ValueError`` on unreadable/corrupt files so callers can
-        fall back to re-running the chain.
-        """
-        try:
-            with np.load(Path(path)) as arrays:
-                trace = cls()
-                for name in arrays.files:
-                    stacked = arrays[name]
-                    trace._samples[name] = [np.asarray(row) for row in stacked]
-                return trace
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"corrupt trace checkpoint {path}: {exc}") from exc

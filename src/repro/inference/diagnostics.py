@@ -138,19 +138,3 @@ def split_rhat(chains: np.ndarray) -> float:
     var_hat = (n - 1) / n * w + b / n
     rhat = float(np.sqrt(var_hat / w))
     return rhat if np.isfinite(rhat) else float("nan")
-
-
-def summarise_chain(x: np.ndarray) -> dict[str, float]:
-    """One-line numeric summary of a scalar chain.
-
-    Degenerate (constant) chains carry their ``nan`` ESS through — the
-    summary never raises, and ``nan`` keeps its "undiagnosable" meaning.
-    """
-    x = np.asarray(x, dtype=float)
-    return {
-        "mean": float(x.mean()),
-        "sd": float(x.std(ddof=1)) if x.size > 1 else 0.0,
-        "ess": effective_sample_size(x) if x.size >= 2 else float(x.size),
-        "q05": float(np.quantile(x, 0.05)),
-        "q95": float(np.quantile(x, 0.95)),
-    }

@@ -2,8 +2,8 @@
 
 These are the building blocks the DPMHBP sampler composes: scalar
 Metropolis updates for group failure rates (on the logit scale so the
-proposal respects the (0, 1) support) with acceptance-rate tracking and
-optional adaptation toward a target acceptance probability during burn-in.
+proposal respects the (0, 1) support) with optional adaptation toward a
+target acceptance probability during burn-in.
 """
 
 from __future__ import annotations
@@ -62,23 +62,6 @@ class AdaptiveScale:
     def freeze(self) -> None:
         """Stop adapting (call at the end of burn-in)."""
         self.frozen = True
-
-
-@dataclass
-class AcceptanceTracker:
-    """Running acceptance-rate statistics for one move type."""
-
-    proposed: int = 0
-    accepted: int = 0
-
-    def record(self, accepted: bool) -> None:
-        self.proposed += 1
-        self.accepted += int(accepted)
-
-    @property
-    def rate(self) -> float:
-        """Fraction of proposals accepted (0 when none proposed yet)."""
-        return self.accepted / self.proposed if self.proposed else 0.0
 
 
 def metropolis_step(

@@ -2,14 +2,16 @@
 
 Three layers on top of the telemetry and diagnostics primitives:
 
-* :mod:`repro.monitor.health` — :class:`ChainHealth` records per-sweep
-  scalars from the samplers and folds them into a :class:`HealthReport`
-  (per-quantity ESS / Geweke z / split-R̂ with a pass/warn/fail verdict);
+* :mod:`repro.monitor.health` — :class:`ChainHealth` folds the samplers'
+  per-sweep scalars into a :class:`HealthReport` (per-quantity ESS /
+  Geweke z / split-R̂ with a pass/warn/fail verdict), which the run
+  journal keeps per cell;
 * :mod:`repro.monitor.drift` — per-cell metric history in the run
   journal, compared against saved ``HEALTH_<rev>.json`` baselines;
 * :mod:`repro.monitor.doctor` — the ``repro doctor <run_dir>``
-  subcommand: convergence tables, drift flags, failure context, and CI
-  exit codes (0 healthy / 1 warnings / 2 failures).
+  subcommand: per-cell convergence tables from the journal, drift flags,
+  failure context, and CI exit codes (0 healthy / 1 warnings / 2
+  failures).
 """
 
 from .doctor import DoctorReport, diagnose

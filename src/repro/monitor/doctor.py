@@ -3,31 +3,28 @@
 The doctor folds three independent signals into a single CI-friendly
 exit code (0 healthy / 1 warnings / 2 failures):
 
-* **convergence** — every ``health.json`` a checkpointing
-  :class:`~repro.core.dpmhbp.DPMHBPModel` left under the run directory,
-  plus on-the-fly diagnosis of bare ``chain_<i>.npz`` checkpoint groups
-  from runs that predate health reports (burn-in defaults to a third of
-  the trace when the checkpoints don't record it);
+* **convergence** — the health report each chain-fitting model (in the
+  default line-up, :class:`~repro.core.dpmhbp.DPMHBPModel`) left in its
+  cell's completion marker, one verdict per (cell, model); completed
+  cells that carry no report at all are a warning, never a pass;
 * **drift** — the run's per-cell metrics vs. a ``HEALTH_<rev>.json``
   baseline (omitted when no baseline is given or discoverable);
 * **failures** — cells whose last attempt failed, with error types and
   retry counts pulled from the journal.
 
 ``nan`` diagnostics stay "undiagnosable": they are printed but never
-escalate the verdict.
+escalate the verdict. The doctor reads only the journal, so its output
+for a finished run is the same before and after a ``--resume``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .. import telemetry
 from .drift import DEFAULT_BAND, DriftReport, compare_to_baseline, load_baseline, metrics_snapshot
-from .health import ChainHealth, HealthReport, HealthThresholds, VERDICT_CODES
+from .health import HealthReport, VERDICT_CODES
 
 #: Verdict → process exit code (the doctor's contract with CI).
 EXIT_CODES = {"pass": 0, "undiagnosable": 0, "warn": 1, "fail": 2}
@@ -85,7 +82,7 @@ class DoctorReport:
                 lines.append(f"[{label}]")
                 lines.append(report.format())
         else:
-            lines.append("convergence: no chain health artifacts under the run dir")
+            lines.append("convergence: no completed cell carries a health report")
         lines.append("")
         if self.drift is not None:
             lines.append("drift:")
@@ -95,81 +92,10 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-def _health_from_chain_group(
-    paths: list[Path], thresholds: HealthThresholds
-) -> HealthReport | None:
-    """Diagnose a directory of bare ``chain_<i>.npz`` posteriors.
-
-    Pre-health-report checkpoints don't record their burn-in, so a third
-    of the trace is dropped — conservative for this repo's defaults
-    (burn_in = n_sweeps/3).
-    """
-    from ..core.dpmhbp import DPMHBPPosterior
-
-    posteriors = []
-    for path in sorted(paths):
-        try:
-            posteriors.append(DPMHBPPosterior.load(path))
-        except ValueError:
-            continue  # corrupt checkpoint: the engine refits it, we skip it
-    if not posteriors:
-        return None
-    trace_len = min(p.n_clusters_trace.size for p in posteriors)
-    monitor = ChainHealth(thresholds=thresholds, burn_in=trace_len // 3)
-    for posterior in posteriors:
-        series = {"n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float)}
-        if posterior.log_lik_trace.size:
-            series["log_lik"] = posterior.log_lik_trace
-        if posterior.accept_trace.size:
-            series["accept_q"] = posterior.accept_trace
-        monitor.ingest_chain(series)
-    return monitor.report(publish=False)
-
-
-def collect_health(
-    run_dir: Path, thresholds: HealthThresholds | None = None
-) -> dict[str, HealthReport]:
-    """Every convergence report discoverable under ``run_dir``.
-
-    Saved ``health.json`` files win; directories holding only bare
-    ``chain_<i>.npz`` checkpoints are diagnosed on the fly. Labels are
-    run-dir-relative paths so multi-model runs stay distinguishable.
-    """
-    thresholds = thresholds or HealthThresholds.from_env()
-    reports: dict[str, HealthReport] = {}
-    covered: set[Path] = set()
-    for path in sorted(run_dir.rglob("health.json")):
-        try:
-            reports[_label(run_dir, path.parent)] = HealthReport.from_json(
-                json.loads(path.read_text())
-            )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            continue  # unreadable report: treated as absent, never fatal
-        covered.add(path.parent)
-    groups: dict[Path, list[Path]] = {}
-    for path in sorted(run_dir.rglob("chain_*.npz")):
-        if path.parent not in covered:
-            groups.setdefault(path.parent, []).append(path)
-    for parent, paths in sorted(groups.items()):
-        report = _health_from_chain_group(paths, thresholds)
-        if report is not None:
-            reports[_label(run_dir, parent)] = report
-    return reports
-
-
-def _label(run_dir: Path, parent: Path) -> str:
-    try:
-        relative = parent.resolve().relative_to(run_dir.resolve())
-    except ValueError:
-        return str(parent)
-    return str(relative) if str(relative) != "." else "chains"
-
-
 def diagnose(
     run_dir: str | Path,
     baseline: str | Path | None = None,
     band: float = DEFAULT_BAND,
-    thresholds: HealthThresholds | None = None,
 ) -> DoctorReport:
     """Inspect a journalled run directory and fold a doctor verdict.
 
@@ -188,14 +114,19 @@ def diagnose(
     report.retries = sum(
         1 for event in journal.events() if event.get("event") == "cell_retried"
     )
-    report.health = collect_health(run_dir, thresholds)
+    report.health = {
+        f"{cell}/{model}": health
+        for cell, models in journal.cell_health().items()
+        for model, health in models.items()
+    }
     if baseline is not None:
         report.drift = compare_to_baseline(
             load_baseline(baseline), metrics_snapshot(run_dir), band=band
         )
 
     # Fold: failures dominate, then chain-health, then drift warnings.
-    level = 0
+    # A run with no health report to fold is a warning, not a pass.
+    level = 0 if report.health else 1
     rank = {"pass": 0, "undiagnosable": 0, "warn": 1, "fail": 2}
     for health in report.health.values():
         level = max(level, rank.get(health.verdict, 1))

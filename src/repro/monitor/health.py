@@ -8,9 +8,7 @@ log-likelihood, acceptance rates) into one :class:`~repro.inference.chains.Trace
 per chain, and at fit end folds per-quantity ESS, Geweke z and pooled
 split-R̂ into a :class:`HealthReport` with a pass/warn/fail verdict.
 
-Thresholds are tunable via keyword arguments or ``REPRO_HEALTH_*``
-environment variables (``REPRO_HEALTH_RHAT_WARN=1.05`` etc.); see
-:class:`HealthThresholds`.
+Thresholds are tunable via :class:`HealthThresholds`.
 
 ``nan`` diagnostics keep the meaning the diagnostics module defines:
 **undiagnosable**. An undiagnosable statistic never passes *or* fails a
@@ -22,7 +20,6 @@ cannot fail an otherwise healthy fit either.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -35,9 +32,6 @@ from ..inference.diagnostics import (
     geweke_zscore,
     split_rhat,
 )
-
-#: Environment-variable prefix for threshold overrides.
-HEALTH_ENV_PREFIX = "REPRO_HEALTH_"
 
 #: Verdict severity order (worst wins when folding quantities together).
 VERDICTS = ("pass", "warn", "fail")
@@ -73,23 +67,6 @@ class HealthThresholds:
             raise ValueError("need 0 <= ess_fail <= ess_warn")
         if not (0.0 < self.geweke_warn <= self.geweke_fail):
             raise ValueError("need 0 < geweke_warn <= geweke_fail")
-
-    @classmethod
-    def from_env(cls, **overrides: float | None) -> "HealthThresholds":
-        """Defaults ← ``REPRO_HEALTH_<FIELD>`` env vars ← explicit kwargs."""
-        values: dict[str, float] = {}
-        for f in dataclasses.fields(cls):
-            raw = os.environ.get(HEALTH_ENV_PREFIX + f.name.upper())
-            if raw is None:
-                continue
-            try:
-                values[f.name] = float(raw)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{HEALTH_ENV_PREFIX}{f.name.upper()}={raw!r} is not a number"
-                ) from exc
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -278,20 +255,11 @@ def _classify(
 class ChainHealth:
     """Per-sweep scalar recorder and end-of-fit convergence judge.
 
-    Two ways in:
-
-    * **live** — pass :meth:`as_callback` as a sampler's per-sweep hook
-      (``DPMHBP(sweep_callback=...)``); every sweep's scalars are
-      recorded into the chain's :class:`~repro.inference.chains.Trace`
-      and mirrored to telemetry gauges (``chain.<name>``) when telemetry
-      is on;
-    * **bulk** — :meth:`ingest_chain` whole per-sweep series after the
-      fact (how :class:`~repro.core.dpmhbp.DPMHBPModel` pools its
-      worker-fitted chains).
-
-    :meth:`report` trims every chain's series to the shortest, drops
-    ``burn_in`` leading sweeps, and computes per-quantity ESS (summed
-    across chains), the worst per-chain Geweke z, and the pooled
+    :meth:`ingest_chain` adds one chain's whole per-sweep series (how
+    :class:`~repro.core.dpmhbp.DPMHBPModel` pools its worker-fitted
+    chains). :meth:`report` trims every chain's series to the shortest,
+    drops ``burn_in`` leading sweeps, and computes per-quantity ESS
+    (summed across chains), the worst per-chain Geweke z, and the pooled
     split-R̂.
     """
 
@@ -299,51 +267,20 @@ class ChainHealth:
         self,
         thresholds: HealthThresholds | None = None,
         burn_in: int = 0,
-        **threshold_overrides: float,
     ):
-        if thresholds is not None and threshold_overrides:
-            raise ValueError("pass thresholds= or individual overrides, not both")
-        self.thresholds = (
-            thresholds
-            if thresholds is not None
-            else HealthThresholds.from_env(**threshold_overrides)
-        )
+        self.thresholds = thresholds if thresholds is not None else HealthThresholds()
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         self.burn_in = int(burn_in)
         self._chains: dict[int, Trace] = {}
 
     # ------------------------------------------------------------ recording
-    def chain_trace(self, chain: int = 0) -> Trace:
-        """The (created-on-demand) per-sweep trace of one chain."""
-        return self._chains.setdefault(chain, Trace())
-
-    @property
-    def n_chains(self) -> int:
-        return len(self._chains)
-
-    def on_sweep(self, scalars: Mapping[str, float], chain: int = 0) -> None:
-        """Record one sweep's scalar quantities for ``chain``."""
-        clean = {name: float(value) for name, value in scalars.items()}
-        self.chain_trace(chain).record(**clean)
-        if telemetry.enabled():
-            for name, value in clean.items():
-                telemetry.gauge(f"chain.{name}", value)
-
-    def as_callback(self, chain: int = 0):
-        """A ``(sweep, scalars) -> None`` hook bound to one chain index."""
-
-        def callback(sweep: int, scalars: Mapping[str, float]) -> None:
-            self.on_sweep(scalars, chain=chain)
-
-        return callback
-
     def ingest_chain(
         self, quantities: Mapping[str, np.ndarray], chain: int | None = None
     ) -> int:
         """Bulk-add one chain's per-sweep series; returns its chain index."""
         index = chain if chain is not None else (max(self._chains, default=-1) + 1)
-        trace = self.chain_trace(index)
+        trace = self._chains.setdefault(index, Trace())
         for name, values in quantities.items():
             trace.extend(name, np.asarray(values, dtype=float).ravel())
         return index

@@ -40,7 +40,6 @@ from .journal import (
     JournalError,
     RunJournal,
     config_fingerprint,
-    describe_run,
 )
 from .spec import RESEED_OFFSET, CellSpec
 
@@ -60,7 +59,6 @@ __all__ = [
     "JournalError",
     "RunJournal",
     "config_fingerprint",
-    "describe_run",
     "RESEED_OFFSET",
     "CellSpec",
 ]

@@ -7,7 +7,7 @@ A journalled experiment owns a *run directory*::
       events.jsonl         # append-only log: run/cell lifecycle events
       cells/
         A-r000.npz         # arrays: labels, pipe lengths, per-model scores
-        A-r000.json        # metadata + metrics + npz checksum (completion marker)
+        A-r000.json        # metadata + metrics + chain health + npz checksum (completion marker)
         B-r002.failed.json # last recorded failure for a cell (not a checkpoint)
 
 Checkpoints are written *atomically* (temp file + ``os.replace`` in the
@@ -37,7 +37,7 @@ import tempfile
 import zipfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .spec import CellSpec
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (eval imports runs)
     from ..eval.experiment import RegionRun
+    from ..monitor.health import HealthReport
 
 MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"
@@ -213,8 +214,9 @@ class RunJournal:
         """Atomically checkpoint one completed cell.
 
         Arrays (labels, pipe lengths, one score vector per model) go into
-        the ``.npz``; metrics and the npz checksum into the ``.json``,
-        which lands last and marks completion.
+        the ``.npz``; metrics, each model's convergence report (when it
+        has one) and the npz checksum into the ``.json``, which lands last
+        and marks completion.
 
         ``abandoned`` (e.g. a timeout :class:`~repro.runs.faults.CancelToken`'s
         ``cancelled``) is re-checked right before each write: a cell body
@@ -256,6 +258,7 @@ class RunJournal:
                     "auc": ev.auc,
                     "auc_budget_permyriad": ev.auc_budget_permyriad,
                     "budget": ev.budget,
+                    "health": ev.health.to_json() if ev.health is not None else None,
                 }
                 for ev in run.evaluations.values()
             ],
@@ -289,16 +292,13 @@ class RunJournal:
         return {p.stem for p in base.glob("*.json") if not p.name.endswith(".failed.json")
                 and (base / f"{p.stem}.npz").exists()}
 
-    def cell_metrics(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Per-cell, per-model scalar metrics from the completion markers.
+    def _markers(self) -> Iterator[tuple[str, dict]]:
+        """``(cell_id, record)`` of every readable completion marker.
 
-        Shape ``{cell_id: {model_name: {metric: value}}}``, reading only
-        the lightweight ``.json`` records (no array loads, no checksum
-        validation) — the metric history the drift tracker compares
-        across revisions. Unreadable markers are skipped, matching
+        Reads only the lightweight ``.json`` records (no array loads, no
+        checksum validation). Unreadable markers are skipped, matching
         :meth:`failed_cells`.
         """
-        out: dict[str, dict[str, dict[str, float]]] = {}
         base = self.run_dir / CELLS_DIR
         for path in sorted(base.glob("*.json")):
             if path.name.endswith(".failed.json"):
@@ -307,6 +307,17 @@ class RunJournal:
                 record = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
+            yield str(record.get("cell_id", path.stem)), record
+
+    def cell_metrics(self) -> dict[str, dict[str, dict[str, float]]]:
+        """Per-cell, per-model scalar metrics from the completion markers.
+
+        Shape ``{cell_id: {model_name: {metric: value}}}`` — the metric
+        history the drift tracker compares across revisions. Non-scalar
+        entries (the budget, a model's health report) are not metrics.
+        """
+        out: dict[str, dict[str, dict[str, float]]] = {}
+        for cell_id, record in self._markers():
             models: dict[str, dict[str, float]] = {}
             for entry in record.get("models", []):
                 name = entry.get("name")
@@ -318,7 +329,24 @@ class RunJournal:
                     if key not in ("name", "budget")
                     and isinstance(value, (int, float))
                 }
-            out[str(record.get("cell_id", path.stem))] = models
+            out[cell_id] = models
+        return out
+
+    def cell_health(self) -> dict[str, dict[str, "HealthReport"]]:
+        """Per-cell, per-model convergence reports from the completion markers.
+
+        Shape ``{cell_id: {model_name: report}}``; models that fit no
+        chains (and cells with no such model) are absent.
+        """
+        from ..monitor.health import HealthReport
+
+        out: dict[str, dict[str, HealthReport]] = {}
+        for cell_id, record in self._markers():
+            for entry in record.get("models", []):
+                if entry.get("health") is not None:
+                    out.setdefault(cell_id, {})[entry["name"]] = HealthReport.from_json(
+                        entry["health"]
+                    )
         return out
 
     def failed_cells(self) -> dict[str, dict]:
@@ -340,6 +368,7 @@ class RunJournal:
         so callers can fall back to recomputing the cell.
         """
         from ..eval.experiment import ModelEvaluation, RegionRun
+        from ..monitor.health import HealthReport
 
         npz_path, json_path, _ = self._cell_paths(spec.cell_id)
         if not json_path.exists() or not npz_path.exists():
@@ -379,6 +408,11 @@ class RunJournal:
                 auc=entry["auc"],
                 auc_budget_permyriad=entry["auc_budget_permyriad"],
                 budget=entry["budget"],
+                health=(
+                    HealthReport.from_json(entry["health"])
+                    if entry.get("health") is not None
+                    else None
+                ),
             )
         return run
 
@@ -394,18 +428,3 @@ class RunJournal:
             except CheckpointCorruptError as exc:
                 self.log_event("cell_corrupt", cell=spec.cell_id, error=str(exc))
         return loaded
-
-
-def describe_run(run_dir: str | Path) -> dict:
-    """Human-oriented summary of a run directory (CLI `--resume` preview)."""
-    journal = RunJournal.open(run_dir)
-    config = journal.manifest.get("config", {})
-    return {
-        "run_dir": str(journal.run_dir),
-        "fingerprint": journal.fingerprint,
-        "regions": config.get("regions"),
-        "n_repeats": config.get("n_repeats"),
-        "completed": sorted(journal.completed_cells()),
-        "failed": sorted(journal.failed_cells()),
-        "events": len(journal.events()),
-    }

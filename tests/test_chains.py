@@ -61,21 +61,3 @@ class TestTrace:
 
     def test_empty_len(self):
         assert len(Trace()) == 0
-
-
-class TestTraceCheckpoints:
-    def test_save_load_roundtrip(self, tmp_path):
-        t = Trace()
-        for i in range(5):
-            t.record(x=float(i), v=np.asarray([i, 2 * i], dtype=float))
-        loaded = Trace.load(t.save(tmp_path / "trace.npz"))
-        assert set(loaded.names()) == {"x", "v"}
-        assert len(loaded) == 5
-        assert np.array_equal(loaded.get("x"), t.get("x"))
-        assert np.array_equal(loaded.get("v", burn_in=2), t.get("v", burn_in=2))
-
-    def test_load_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "trace.npz"
-        path.write_bytes(b"torn checkpoint")
-        with pytest.raises(ValueError, match="corrupt"):
-            Trace.load(path)

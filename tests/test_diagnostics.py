@@ -8,7 +8,6 @@ from repro.inference.diagnostics import (
     effective_sample_size,
     geweke_zscore,
     split_rhat,
-    summarise_chain,
 )
 
 
@@ -141,26 +140,3 @@ class TestSplitRhat:
         spiked = chains.copy()
         spiked[:, -1] = 1e9
         assert split_rhat(spiked) == pytest.approx(split_rhat(chains[:, :100]))
-
-
-class TestSummarise:
-    def test_keys_and_values(self, rng):
-        x = rng.standard_normal(500)
-        s = summarise_chain(x)
-        assert set(s) == {"mean", "sd", "ess", "q05", "q95"}
-        assert s["q05"] < s["mean"] < s["q95"]
-
-    def test_constant_chain_carries_nan_ess(self):
-        s = summarise_chain(np.full(50, 1.5))
-        assert s["mean"] == 1.5 and s["sd"] == 0.0
-        assert np.isnan(s["ess"])
-
-    def test_length_3_chain_does_not_raise(self):
-        s = summarise_chain(np.array([1.0, 2.0, 4.0]))
-        assert s["ess"] == 3.0
-        s_const = summarise_chain(np.zeros(3))
-        assert np.isnan(s_const["ess"])
-
-    def test_odd_length_chain_summarises(self, rng):
-        s = summarise_chain(rng.standard_normal(101))
-        assert np.isfinite(s["ess"])

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from repro.inference.metropolis import (
-    AcceptanceTracker,
     AdaptiveScale,
     expit,
     logit,
@@ -55,17 +54,6 @@ class TestAdaptiveScale:
         for _ in range(10000):
             s.update(True)
         assert s.scale <= 1e4
-
-
-class TestAcceptanceTracker:
-    def test_rate(self):
-        t = AcceptanceTracker()
-        t.record(True)
-        t.record(False)
-        assert t.rate == 0.5
-
-    def test_empty_rate_zero(self):
-        assert AcceptanceTracker().rate == 0.0
 
 
 class TestMetropolisStep:

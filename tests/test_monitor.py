@@ -2,18 +2,20 @@
 
 Pins the contracts of :mod:`repro.monitor`:
 
-* thresholds resolve defaults ← ``REPRO_HEALTH_*`` env ← kwargs, and
-  reject inverted bands;
+* thresholds reject inverted bands;
 * :class:`ChainHealth` turns per-sweep scalars into per-quantity
   ESS/Geweke/split-R̂ verdicts — healthy chains pass, divergent chains
   are flagged, constant (nan) quantities stay "undiagnosable" without
   escalating or passing anything;
 * a real two-chain DPMHBP fit produces finite R̂/ESS for the cluster
   count and the collapsed log-likelihood, and ``DPMHBPModel`` pools its
-  chains into ``health_`` (plus ``health.json`` when checkpointing);
+  chains into ``health_``;
+* the run journal carries each fit's ``health_`` in its cell's completion
+  marker, restores it on resume, and keeps it out of the drift metrics;
 * drift baselines flag cell×model×metric moves outside the band;
-* ``repro doctor`` folds failures > chain health > drift into exit
-  codes 0/1/2, with ``--json`` and ``--metrics-out`` round-tripping.
+* ``repro doctor`` folds failures > per-cell chain health > drift into
+  exit codes 0/1/2 (no health report at all is a warning), with
+  ``--json`` and ``--metrics-out`` round-tripping.
 """
 
 import json
@@ -23,8 +25,13 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main as cli_main
-from repro.core.dpmhbp import DPMHBP, DPMHBPModel, DPMHBPPosterior
-from repro.eval.experiment import ModelEvaluation, RegionRun
+from repro.core.dpmhbp import DPMHBP, DPMHBPModel
+from repro.eval.experiment import (
+    ModelEvaluation,
+    RegionRun,
+    prepare_region_data,
+    run_comparison,
+)
 from repro.monitor import (
     ChainHealth,
     HealthReport,
@@ -37,7 +44,7 @@ from repro.monitor import (
     save_baseline,
 )
 from repro.monitor.__main__ import main as monitor_main
-from repro.monitor.doctor import EXIT_CODES, collect_health
+from repro.monitor.doctor import EXIT_CODES
 from repro.monitor.drift import latest_baseline
 from repro.runs import CellSpec, RunJournal
 from repro.telemetry import TRACE_ENV
@@ -45,11 +52,8 @@ from repro.telemetry import TRACE_ENV
 
 @pytest.fixture(autouse=True)
 def _clean_recorder(monkeypatch):
-    """Telemetry off and no REPRO_HEALTH_* overrides leaking between tests."""
+    """Telemetry off between tests."""
     monkeypatch.delenv(TRACE_ENV, raising=False)
-    for field in ("RHAT_WARN", "RHAT_FAIL", "ESS_WARN", "ESS_FAIL",
-                  "GEWEKE_WARN", "GEWEKE_FAIL"):
-        monkeypatch.delenv(f"REPRO_HEALTH_{field}", raising=False)
     telemetry.disable()
     yield
     telemetry.disable()
@@ -87,23 +91,6 @@ class TestHealthThresholds:
         with pytest.raises(ValueError):
             HealthThresholds(**kwargs)
 
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEALTH_RHAT_WARN", "1.05")
-        monkeypatch.setenv("REPRO_HEALTH_ESS_FAIL", "2")
-        t = HealthThresholds.from_env()
-        assert t.rhat_warn == 1.05
-        assert t.ess_fail == 2.0
-        assert t.rhat_fail == 1.3  # untouched fields keep their defaults
-
-    def test_kwargs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEALTH_RHAT_WARN", "1.05")
-        assert HealthThresholds.from_env(rhat_warn=1.2).rhat_warn == 1.2
-
-    def test_non_numeric_env_is_a_loud_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEALTH_RHAT_WARN", "loose")
-        with pytest.raises(ValueError, match="REPRO_HEALTH_RHAT_WARN"):
-            HealthThresholds.from_env()
-
 
 class TestChainHealth:
     def test_healthy_chains_pass(self):
@@ -132,7 +119,9 @@ class TestChainHealth:
     def test_divergent_chains_warn_inside_the_warn_band(self):
         # Push every fail bound out of reach: the same divergence must
         # land in the warn band, not silently pass.
-        health = ChainHealth(rhat_fail=1e6, geweke_fail=1e6, ess_fail=0.0)
+        health = ChainHealth(
+            thresholds=HealthThresholds(rhat_fail=1e6, geweke_fail=1e6, ess_fail=0.0)
+        )
         for chain in _divergent_chains():
             health.ingest_chain({"theta": chain})
         report = health.report(publish=False)
@@ -195,20 +184,6 @@ class TestChainHealth:
         assert np.isnan(q.rhat)
         assert np.isnan(q.geweke_z)  # < MIN_GEWEKE_SAMPLES too
 
-    def test_live_recording_via_callback(self):
-        health = ChainHealth()
-        hook = health.as_callback(chain=1)
-        for sweep in range(5):
-            hook(sweep, {"n_clusters": float(sweep), "log_lik": -10.0 - sweep})
-        assert health.n_chains == 1
-        trace = health.chain_trace(1)
-        assert trace.get("n_clusters").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_on_sweep_mirrors_gauges_when_telemetry_on(self):
-        rec = telemetry.configure(enabled=True)
-        ChainHealth().on_sweep({"n_clusters": 12.0})
-        assert rec.snapshot()["gauges"]["chain.n_clusters"] == 12.0
-
     def test_report_publishes_summary_gauges(self):
         rec = telemetry.configure(enabled=True)
         health = ChainHealth()
@@ -220,10 +195,8 @@ class TestChainHealth:
         assert gauges["chain.rhat"] == pytest.approx(gauges["chain.rhat.theta"])
         assert "chain.ess.theta" in gauges and "chain.geweke.theta" in gauges
 
-    def test_thresholds_and_overrides_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            ChainHealth(thresholds=HealthThresholds(), rhat_warn=1.2)
-        with pytest.raises(ValueError):
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
             ChainHealth(burn_in=-1)
 
     def test_report_round_trips_through_json(self):
@@ -290,71 +263,31 @@ class TestDPMHBPHealth:
         assert np.all(np.isfinite(posterior.log_lik_trace))
         assert np.all((posterior.accept_trace >= 0) & (posterior.accept_trace <= 1))
 
-    def test_sweep_callback_sees_every_sweep(self):
-        failures, features = _synthetic_segments()
-        health = ChainHealth()
-        DPMHBP(n_sweeps=8, burn_in=2, seed=0, sweep_callback=health.as_callback()).fit(
-            failures, features
-        )
-        trace = health.chain_trace(0)
-        assert trace.get("n_clusters").size == 8
-        assert trace.get("log_lik").size == 8
-        assert trace.get("accept_q").size == 8
-
-    def test_checkpoint_round_trips_traces(self, tmp_path):
-        failures, features = _synthetic_segments()
-        posterior = DPMHBP(n_sweeps=6, burn_in=2, seed=0).fit(failures, features)
-        path = posterior.save(tmp_path / "chain_0.npz")
-        restored = DPMHBPPosterior.load(path)
-        np.testing.assert_allclose(restored.log_lik_trace, posterior.log_lik_trace)
-        np.testing.assert_allclose(restored.accept_trace, posterior.accept_trace)
-
-    def test_pre_monitoring_checkpoints_still_load(self, tmp_path):
-        """Old ``.npz`` checkpoints lack the sweep traces; load must cope."""
-        failures, features = _synthetic_segments()
-        posterior = DPMHBP(n_sweeps=6, burn_in=2, seed=0).fit(failures, features)
-        posterior.save(tmp_path / "new.npz")
-        with np.load(tmp_path / "new.npz") as arrays:
-            old = {
-                k: arrays[k]
-                for k in arrays.files
-                if k not in ("log_lik_trace", "accept_trace")
-            }
-        np.savez(tmp_path / "old.npz", **old)
-        restored = DPMHBPPosterior.load(tmp_path / "old.npz")
-        assert restored.log_lik_trace.size == 0
-        assert restored.accept_trace.size == 0
-        np.testing.assert_allclose(restored.rho_mean, posterior.rho_mean)
-
-    def test_model_pools_chains_into_health(self, small_model_data, tmp_path):
+    def test_model_pools_chains_into_health(self, small_model_data):
         model = DPMHBPModel(
-            n_sweeps=12,
-            burn_in=4,
-            n_chains=2,
-            jobs=1,
-            seed=3,
-            checkpoint_dir=str(tmp_path),
+            n_sweeps=12, burn_in=4, n_chains=2, jobs=1, seed=3
         ).fit(small_model_data)
         report = model.health_
         assert isinstance(report, HealthReport)
         assert set(report.quantities) >= {"n_clusters", "log_lik", "accept_q"}
         assert report.quantities["log_lik"].n_chains == 2
         assert np.isfinite(report.quantities["log_lik"].rhat)
-        # ... and the report landed next to the chain checkpoints.
-        saved = HealthReport.from_json(
-            json.loads((tmp_path / "health.json").read_text())
-        )
-        assert saved.verdict == report.verdict
-
-    def test_monitor_off_skips_health(self, small_model_data):
-        model = DPMHBPModel(
-            n_sweeps=4, burn_in=0, n_chains=1, jobs=1, monitor=False
-        ).fit(small_model_data)
-        assert model.health_ is None
 
 
-def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run"):
-    """A journalled 1×2 run with one (or two) completed cells of metrics."""
+def _report(chains):
+    """The convergence report of one scalar quantity over ``chains``."""
+    health = ChainHealth()
+    for chain in chains:
+        health.ingest_chain({"theta": chain})
+    return health.report(publish=False)
+
+
+def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run", health=True):
+    """A journalled 1×2 run with one (or two) completed cells of metrics.
+
+    With ``health`` each cell's evaluation carries a passing convergence
+    report in its completion marker, as a grid cell's DPMHBP fit does.
+    """
     run_dir = tmp_path / name
     journal = RunJournal.create(run_dir, {"regions": ["A"], "n_repeats": 2})
     journal.log_event("run_started")
@@ -382,6 +315,7 @@ def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run"):
             scores=rng.standard_normal(n),
             auc=cell_auc,
             auc_budget_permyriad=3.0,
+            health=_report(_white_noise_chains()) if health else None,
         )
         journal.log_event("cell_started", cell=cell, attempt=1, seed=repeat)
         journal.save_cell(CellSpec(region="A", repeat=repeat, seed=repeat), run)
@@ -478,26 +412,15 @@ class TestDrift:
 
 
 class TestDoctor:
-    def _health_json(self, run_dir, chains, subdir="ckpt"):
-        health = ChainHealth()
-        for chain in chains:
-            health.ingest_chain({"theta": chain})
-        report = health.report(publish=False)
-        target = run_dir / subdir
-        target.mkdir(parents=True, exist_ok=True)
-        (target / "health.json").write_text(json.dumps(report.to_json()))
-        return report
-
     def test_healthy_run_passes_with_exit_zero(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        self._health_json(run_dir, _white_noise_chains())
-        report = diagnose(run_dir)
+        report = diagnose(_completed_run(tmp_path))
         assert report.verdict == "pass" and report.exit_code == 0
         assert report.cells_completed == 2 and not report.cells_failed
-        assert report.health["ckpt"].verdict == "pass"
+        assert set(report.health) == {"A-r000/Cox", "A-r001/Cox"}
+        assert all(health.verdict == "pass" for health in report.health.values())
         text = report.format()
         assert "doctor verdict: PASS (exit 0)" in text
-        assert "[ckpt]" in text
+        assert "[A-r000/Cox]" in text
 
     def test_failed_cells_force_exit_two(self, tmp_path):
         run_dir = _completed_run(tmp_path, fail_one=True)
@@ -507,9 +430,15 @@ class TestDoctor:
         assert "FAILED A-r001: InjectedFault" in report.format()
 
     def test_divergent_chains_escalate_the_verdict(self, tmp_path):
+        # One divergent cell among healthy ones fails the whole run.
         run_dir = _completed_run(tmp_path)
-        self._health_json(run_dir, _divergent_chains())
+        marker = run_dir / "cells" / "A-r001.json"
+        record = json.loads(marker.read_text())
+        record["models"][0]["health"] = _report(_divergent_chains()).to_json()
+        marker.write_text(json.dumps(record))
         report = diagnose(run_dir)
+        assert report.health["A-r000/Cox"].verdict == "pass"
+        assert report.health["A-r001/Cox"].verdict == "fail"
         assert report.verdict == "fail" and report.exit_code == 2
 
     def test_drift_is_a_warning_exit_one(self, tmp_path):
@@ -522,39 +451,12 @@ class TestDoctor:
         assert report.verdict == "warn" and report.exit_code == 1
         assert len(report.drift.flags) == 1
 
-    def test_no_artifacts_is_still_a_pass(self, tmp_path):
-        report = diagnose(_completed_run(tmp_path))
-        assert report.verdict == "pass"
+    def test_completed_cells_without_health_warn(self, tmp_path):
+        # A gate that found nothing to check must not pass.
+        report = diagnose(_completed_run(tmp_path, health=False))
+        assert report.verdict == "warn" and report.exit_code == 1
         assert report.health == {}
-        assert "no chain health artifacts" in report.format()
-
-    def test_bare_chain_checkpoints_are_diagnosed(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        failures, features = _synthetic_segments()
-        ckpt = run_dir / "cells" / "dpmhbp"
-        for chain, seed in enumerate((0, 101)):
-            posterior = DPMHBP(n_sweeps=9, burn_in=3, seed=seed).fit(
-                failures, features
-            )
-            posterior.save(ckpt / f"chain_{chain}.npz")
-        reports = collect_health(run_dir)
-        assert set(reports) == {"cells/dpmhbp"}
-        report = reports["cells/dpmhbp"]
-        # Burn-in defaults to a third of the trace when undeclared.
-        assert report.quantities["n_clusters"].n_samples == 6
-        assert report.quantities["n_clusters"].n_chains == 2
-
-    def test_saved_health_json_wins_over_bare_checkpoints(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        failures, features = _synthetic_segments()
-        ckpt = run_dir / "ckpt"
-        DPMHBP(n_sweeps=6, burn_in=2, seed=0).fit(failures, features).save(
-            ckpt / "chain_0.npz"
-        )
-        saved = self._health_json(run_dir, _white_noise_chains(), subdir="ckpt")
-        reports = collect_health(run_dir)
-        assert list(reports) == ["ckpt"]
-        assert set(reports["ckpt"].quantities) == set(saved.quantities)
+        assert "no completed cell carries a health report" in report.format()
 
     def test_json_report_round_trips(self, tmp_path):
         run_dir = _completed_run(tmp_path, fail_one=True)
@@ -599,7 +501,6 @@ class TestDoctorCLI:
 
     def test_metrics_out_writes_prometheus_text(self, tmp_path, capsys):
         run_dir = _completed_run(tmp_path)
-        self._write_health(run_dir)
         metrics = tmp_path / "doctor.prom"
         rc = cli_main(["doctor", str(run_dir), "--metrics-out", str(metrics)])
         assert rc == 0
@@ -613,13 +514,67 @@ class TestDoctorCLI:
         # ... and the flag's enablement was scoped to the command.
         assert not telemetry.enabled()
 
-    @staticmethod
-    def _write_health(run_dir):
-        health = ChainHealth()
-        for chain in _white_noise_chains():
-            health.ingest_chain({"theta": chain})
-        ckpt = run_dir / "ckpt"
-        ckpt.mkdir()
-        (ckpt / "health.json").write_text(
-            json.dumps(health.report(publish=False).to_json())
-        )
+
+def _small_dpmhbp(seed):
+    """Module-level (picklable) line-up: one short two-chain DPMHBP."""
+    return [DPMHBPModel(n_sweeps=8, burn_in=2, n_chains=2, seed=seed, jobs=1)]
+
+
+GRID = dict(regions=("A",), n_repeats=2, scale=0.05, models_factory=_small_dpmhbp)
+
+
+@pytest.fixture(scope="module")
+def dpmhbp_grid(tmp_path_factory):
+    """A finished, journalled two-cell grid of the small DPMHBP line-up."""
+    run_dir = tmp_path_factory.mktemp("grid") / "run"
+    return run_dir, run_comparison(run_dir=run_dir, **GRID)
+
+
+def _marker(run_dir, repeat):
+    return json.loads((run_dir / "cells" / f"A-r{repeat:03d}.json").read_text())
+
+
+class TestHealthInTheJournal:
+    def test_markers_carry_the_fit_health(self, dpmhbp_grid):
+        run_dir, result = dpmhbp_grid
+        for repeat, run in enumerate(result.runs["A"]):
+            (entry,) = _marker(run_dir, repeat)["models"]
+            # Repeat 0 runs on the region's canonical seed.
+            data = prepare_region_data("A", seed=run.seed if repeat else None, scale=0.05)
+            direct = _small_dpmhbp(repeat)[0].fit(data)
+            assert entry["health"] == direct.health_.to_json()
+            assert set(entry["health"]["quantities"]) == {"n_clusters", "log_lik", "accept_q"}
+
+    def test_load_cell_restores_health(self, dpmhbp_grid):
+        run_dir, result = dpmhbp_grid
+        journal = RunJournal.open(run_dir)
+        for repeat, run in enumerate(result.runs["A"]):
+            restored = journal.load_cell(CellSpec(region="A", repeat=repeat))
+            # to_json, not ==: nan statistics never compare equal.
+            assert (
+                restored.evaluations["DPMHBP"].health.to_json()
+                == run.evaluations["DPMHBP"].health.to_json()
+            )
+
+    def test_doctor_output_survives_resume(self, dpmhbp_grid, capsys):
+        run_dir, result = dpmhbp_grid
+        rc_before = cli_main(["doctor", str(run_dir)])
+        before = capsys.readouterr().out
+        resumed = run_comparison(resume=run_dir, **GRID)
+        rc_after = cli_main(["doctor", str(run_dir)])
+        assert capsys.readouterr().out == before
+        assert rc_after == rc_before
+        assert "[A-r000/DPMHBP]" in before and "[A-r001/DPMHBP]" in before
+        for run, again in zip(result.runs["A"], resumed.runs["A"]):
+            assert (
+                again.evaluations["DPMHBP"].health.to_json()
+                == run.evaluations["DPMHBP"].health.to_json()
+            )
+
+    def test_health_is_not_a_drift_metric(self, dpmhbp_grid):
+        run_dir, _ = dpmhbp_grid
+        assert _marker(run_dir, 0)["models"][0]["health"] is not None
+        cells = RunJournal.open(run_dir).cell_metrics()
+        for cell in ("A-r000", "A-r001"):
+            assert set(cells[cell]["DPMHBP"]) == {"auc", "auc_budget_permyriad"}
+        assert metrics_snapshot(run_dir)["cells"] == cells
