@@ -37,17 +37,30 @@ term and the auxiliary clusters' weights (one ``betaln`` call over all
 changes. So the scan scores a window of upcoming steps at once — the
 existing clusters' Beta–Binomial columns plus one ``feats @ mu.T``
 product per window, then the auxiliaries — and adds the window's Gumbel
-noise, drawn in blocks. A step is then one row plus the live log-counts and an argmax
-(Gumbel-max: no normalisation, no ``rng.choice``). A birth or death
-changes K and rescores the rest of the window; the noise it did not use is
-handed back, and after the scan the generator is rewound so that Blocks
-2-3 see exactly the stream per-step draws would have left. The batched
-product rounds differently from a per-segment ``mu @ feats[l]``, and the
-terms are summed in another order; that can change a draw only through a
-tie within rounding between two perturbed weights, which continuous
-Gumbel noise makes vanishingly rare (tests pin the outputs to the
-per-step loop byte for byte). Around the scan, the ``q_k`` block scores a
-cluster through its (m+1)-bin failure-count histogram instead of its
+noise, drawn in blocks (Gumbel-max: no normalisation, no ``rng.choice``).
+
+Each step's draw is also made speculatively, once per window: the window
+adds its start log-counts ℓ⁰ and takes every row's winner and runner-up
+in one pass. A count of n moves its log-weight by only about 1/n, while
+the Gumbel gap between a row's top two candidates is O(1). So the scan
+tracks D, the largest drift |ℓ_k − ℓ⁰_k| any count update has caused
+since the window opened, and a step keeps its speculative winner when
+the row's margin exceeds 2D (:func:`_certified_draws` proves that this
+is the draw the live log-counts give, rounding and ties included).
+Otherwise it adds the live log-counts to its row and takes the argmax.
+The step itself is pure Python: labels, cluster sizes and their logs
+live in lists, written back once per sweep. A birth or death changes K
+and rescores the rest of the window; the noise it did not use is handed
+back, and after the scan the generator is rewound so that Blocks 2-3 see
+exactly the stream per-step draws would have left.
+
+The batched product rounds differently from a per-segment
+``mu @ feats[l]``, and the terms are summed in another order; that can
+change a draw only through a tie within rounding between two perturbed
+weights, which continuous Gumbel noise makes vanishingly rare (tests pin
+the outputs to the per-step loop byte for byte). Around the scan, the
+``q_k`` block scores every cluster's current and proposed rate in one
+batch, each through its (m+1)-bin failure-count histogram instead of its
 member vector, and the conjugate Gaussian block updates every cluster
 mean in one batch.
 """
@@ -56,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betaln
@@ -63,7 +77,7 @@ from scipy.special import betaln
 from .. import telemetry
 from ..bayes.distributions import beta_logpdf
 from ..features.builder import ModelData
-from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
+from ..inference.metropolis import AdaptiveScale, expit, logit
 from ..ml.glm import PoissonRegression
 from ..monitor.health import ChainHealth, HealthReport
 from ..parallel import shm
@@ -122,6 +136,71 @@ class _GumbelStream:
         self.rng.gumbel(size=taken - start)
 
 
+def _certified_draws(spec: np.ndarray) -> tuple[list[int], list[float]]:
+    """Each row's winner and the margin by which the live draw must agree.
+
+    ``spec`` holds a window's perturbed log-weights plus the window-start
+    log-counts ℓ⁰: V = fl(W + ℓ⁰). The scan's step j draws the argmax of
+    T = fl(W_j + ℓ) at the live log-counts ℓ. Let k₁ be row j's argmax of
+    V, v₁ = V_{k₁} and v₂ the runner-up, and let D bound |ℓ_k − ℓ⁰_k| over
+    every k. Rounding to nearest is monotone and moves a value by at most
+    u·|value| (u = 2⁻⁵³), and x ↦ x + u|x| is increasing, so for every
+    k ≠ k₁
+
+        T_{k₁} ≥ v₁ − D − u·(2|v₁| + D) − …,   T_k ≤ v₂ + D + u·(2|v₂| + D) + …
+
+    (the dots are O(u²) terms). The returned margin is
+    v₁ − v₂ − 1e-12·(1 + |v₁| + |v₂|). When it exceeds 2D, then D is
+    below |v₁| + |v₂| and the slack exceeds every rounding term above, so
+    T_{k₁} > T_k strictly. Then the live argmax is k₁, with ties and
+    rounding accounted for, and the scan keeps k₁ without rescoring.
+    Otherwise, and for a NaN margin (a one-candidate row), it falls back
+    to the exact row.
+    """
+    rows = np.arange(spec.shape[0])
+    best = spec.argmax(axis=1)
+    v1 = spec[rows, best]
+    spec[rows, best] = -np.inf
+    v2 = spec.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        margin = v1 - v2 - 1e-12 * (1.0 + np.abs(v1) + np.abs(v2))
+    return best.tolist(), margin.tolist()
+
+
+def _metropolis_probability_steps(
+    current_p: Sequence[float],
+    log_targets: Callable[[np.ndarray], Sequence[float]],
+    scales: Sequence[float],
+    rng: np.random.Generator,
+) -> tuple[list[float], list[bool]]:
+    """``metropolis_probability_step`` on K independent rates at once.
+
+    Rate k's target depends on it alone, so the K steps commute. They draw
+    the same normal-then-uniform pair per rate, in order, and
+    ``log_targets`` scores all 2K points in one call: it receives the K
+    current rates followed by the K proposals and returns their log
+    targets. Values and acceptances are bit-identical to K sequential
+    ``metropolis_probability_step`` calls.
+    """
+    xs: list[float] = []
+    proposals: list[float] = []
+    log_u: list[float] = []
+    for p, scale in zip(current_p, scales):
+        x = logit(min(max(p, 1e-12), 1.0 - 1e-12))
+        xs.append(x)
+        proposals.append(x + scale * rng.standard_normal())
+        log_u.append(math.log(rng.random()))
+    points = [min(max(expit(x), 1e-12), 1.0 - 1e-12) for x in xs + proposals]
+    logp = [
+        lt + math.log(p) + math.log1p(-p)
+        for lt, p in zip(log_targets(np.array(points)), points)
+    ]
+    k = len(xs)
+    accepted = [log_u[i] < logp[k + i] - logp[i] for i in range(k)]
+    new_p = [expit(proposals[i] if accepted[i] else xs[i]) for i in range(k)]
+    return new_p, accepted
+
+
 @dataclass
 class DPMHBPPosterior:
     """Posterior summaries of one DPMHBP fit."""
@@ -164,18 +243,18 @@ class _ClusterState:
     def k(self) -> int:
         return len(self.q)
 
-    def bb_column(self, q: float) -> np.ndarray:
-        """Beta–Binomial log marginal for s = 0..m at group rate ``q``."""
+    def bb_columns(self, q: np.ndarray) -> np.ndarray:
+        """Beta–Binomial log marginals for s = 0..m, one row per rate in ``q``."""
         s = self._s_grid
-        a = self.c * q
-        b = self.c * (1.0 - q)
+        a = self.c * q[:, None]
+        b = self.c * (1.0 - q[:, None])
         return betaln(a + s, b + self.m - s) - betaln(a, b)
 
     def add(self, q: float, mu: np.ndarray, count: int = 0) -> int:
         self.q.append(float(q))
         self.mu.append(np.asarray(mu, dtype=float))
         self.count.append(count)
-        self.bb_table.append(self.bb_column(q))
+        self.bb_table.append(self.bb_columns(np.array([q]))[0])
         return self.k - 1
 
     def remove(self, k: int) -> None:
@@ -317,6 +396,8 @@ class DPMHBP:
         b0 = self.c0 * (1.0 - self.q0)
         sqrt_tau = math.sqrt(tau2)
         s_f = s.astype(float)
+        # ``math.log`` of every cluster size the scan can reach.
+        log_table = [-math.inf] + [math.log(n) for n in range(1, n_seg + 1)]
 
         for sweep in range(self.n_sweeps):
             # ---- Block 1: CRP assignments (Neal Algorithm 8) ----
@@ -342,17 +423,21 @@ class DPMHBP:
                 aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
                 aux_base += (aux_cross - 0.5 * aux_sq) / sigma2
 
+            # The scan's live state is plain Python: labels, cluster sizes
+            # and their logs, the logs padded with zeros over the auxiliary
+            # candidates. The logs hold what the per-step loop holds:
+            # ``np.log`` values from the sweep start, ``math.log`` values
+            # (from ``log_table``) after an update.
+            labels = z.tolist()
             counts = list(state.count)
             k_live = len(counts)
-            # Log-counts padded with zeros over the auxiliary candidates, so
-            # one add completes a step's weights.
-            log_counts = np.zeros(k_live + self.n_aux)
-            log_counts[:k_live] = np.log(counts)
+            log_counts = np.log(counts).tolist() + [0.0] * self.n_aux
             bb_t, mu, mu_sq = state.arrays()
             noise = _GumbelStream(rng)
             # The deleted singleton's weight and parameters, recycled as the
             # first auxiliary candidate of the step that emptied it (Alg 8).
             recycled = None
+            n_exact = 0
             step = 0
             while step < n_seg:
                 # Everything in a candidate's log-weight but the live
@@ -372,15 +457,22 @@ class DPMHBP:
                 if recycled is not None:
                     weights[0, k_live] = recycled[0]
                 weights += noise.take(weights.size).reshape(weights.shape)
+                # Speculative draws at the window-start log-counts ℓ⁰, and
+                # each row's certified margin (see _certified_draws).
+                start_logs = list(log_counts)
+                best, margin = _certified_draws(weights + np.array(start_logs))
+                drift2 = 0.0  # 2D: twice the largest |ℓ_k − ℓ⁰_k| so far
 
                 for j, l in enumerate(rows.tolist()):
                     if recycled is not None:
-                        _, aux_q, aux_mu = recycled
+                        recycled_params = recycled[1:]
                         recycled = None
                     else:
-                        k_old = int(z[l])
-                        counts[k_old] -= 1
-                        if counts[k_old] == 0:
+                        recycled_params = None
+                        k_old = labels[l]
+                        c = counts[k_old] - 1
+                        counts[k_old] = c
+                        if c == 0:
                             # Delete the emptied cluster, relabel, and rescore
                             # from this step on with its parameters recycled.
                             q_s, mu_s = state.q[k_old], state.mu[k_old]
@@ -404,32 +496,48 @@ class DPMHBP:
                             state.remove(k_old)
                             scales.pop(k_old)
                             del counts[k_old]
-                            log_counts = np.delete(log_counts, k_old)
-                            z[z > k_old] -= 1
+                            del log_counts[k_old]
+                            labels = [k - (k > k_old) for k in labels]
                             k_live -= 1
                             bb_t, mu, mu_sq = state.arrays()
                             noise.untake((rows.size - j) * width)
                             step += j
                             break
-                        log_counts[k_old] = math.log(counts[k_old])
-                        aux_q = aux_q_all[l]
-                        aux_mu = aux_mu_all[l]
+                        log_c = log_table[c]
+                        log_counts[k_old] = log_c
+                        gap = abs(log_c - start_logs[k_old])
+                        if gap + gap > drift2:
+                            drift2 = gap + gap
 
-                    # Gumbel-max categorical draw on the unnormalised log-weights.
-                    logw = weights[j]
-                    logw += log_counts
-                    choice = int(logw.argmax())
+                    if margin[j] > drift2:
+                        choice = best[j]
+                    else:
+                        # The exact Gumbel-max draw on the live log-weights:
+                        # the same float sums, and the first maximum wins,
+                        # as with ``argmax``.
+                        n_exact += 1
+                        logw = [w + lc for w, lc in zip(weights[j].tolist(), log_counts)]
+                        choice = logw.index(max(logw))
 
                     if choice < k_live:
-                        z[l] = choice
-                        counts[choice] += 1
-                        log_counts[choice] = math.log(counts[choice])
+                        labels[l] = choice
+                        c = counts[choice] + 1
+                        counts[choice] = c
+                        log_c = log_table[c]
+                        log_counts[choice] = log_c
+                        gap = abs(log_c - start_logs[choice])
+                        if gap + gap > drift2:
+                            drift2 = gap + gap
                     else:
                         h = choice - k_live
-                        z[l] = state.add(float(aux_q[h]), aux_mu[h], 1)
+                        if recycled_params is not None:
+                            aux_q, aux_mu = recycled_params
+                        else:
+                            aux_q, aux_mu = aux_q_all[l], aux_mu_all[l]
+                        labels[l] = state.add(float(aux_q[h]), aux_mu[h], 1)
                         scales.append(AdaptiveScale())
                         counts.append(1)
-                        log_counts = np.insert(log_counts, k_live, 0.0)
+                        log_counts.insert(k_live, 0.0)
                         k_live += 1
                         bb_t, mu, mu_sq = state.arrays()
                         noise.untake((rows.size - j - 1) * width)
@@ -438,38 +546,49 @@ class DPMHBP:
                 else:
                     step += rows.size
             noise.close()
-            # The live ``counts`` list was authoritative during the scan;
-            # it becomes the cluster state's once per sweep.
+            telemetry.count("dpmhbp.scan_exact_steps", n_exact)
+            # The live ``labels`` and ``counts`` lists were authoritative
+            # during the scan; they become the cluster state's once per sweep.
+            z = np.asarray(labels, dtype=np.int64)
             state.count = counts
 
             # ---- Block 2: q_k via logit Metropolis (collapsed ρ) ----
             # Failure counts live on the small grid 0..m, so a cluster's
             # collapsed likelihood is its count-histogram dotted with the
             # (m+1)-long Beta–Binomial table — O(m) per target evaluation
-            # regardless of cluster size.
-            hist = np.zeros((state.k, int(m) + 1))
-            np.add.at(hist, (z, s), 1.0)
-            for k in range(state.k):
+            # regardless of cluster size. The clusters' steps are
+            # independent, so every current and proposed rate is scored in
+            # one batch.
+            k_tot = state.k
+            n_bins = int(m) + 1
+            hist = np.bincount(z * n_bins + s, minlength=k_tot * n_bins)
+            hist = hist.reshape(k_tot, n_bins).astype(float)
 
-                def log_target(qk: float, hk=hist[k]) -> float:
-                    prior = float(beta_logpdf(qk, self.c0 * self.q0, self.c0 * (1.0 - self.q0)))
-                    return prior + float(hk @ state.bb_column(qk))
+            def log_targets(p: np.ndarray) -> list[float]:
+                prior = beta_logpdf(p, a0, b0).tolist()
+                cols = state.bb_columns(p)
+                return [prior[i] + float(hist[i % k_tot] @ cols[i]) for i in range(p.size)]
 
-                new_q, accepted = metropolis_probability_step(
-                    state.q[k], log_target, scales[k].scale, rng
-                )
-                scales[k].update(accepted)
-                q_props += 1
-                q_accepts += int(accepted)
-                if accepted:
-                    state.q[k] = new_q
-                    state.bb_table[k] = state.bb_column(new_q)
+            new_q, accepted = _metropolis_probability_steps(
+                state.q, log_targets, [sc.scale for sc in scales], rng
+            )
+            for scale, ok in zip(scales, accepted):
+                scale.update(ok)
+            q_props += k_tot
+            q_accepts += sum(accepted)
+            moved = [k for k in range(k_tot) if accepted[k]]
+            cols = state.bb_columns(np.array([new_q[k] for k in moved], dtype=float))
+            for k, col in zip(moved, cols):
+                state.q[k] = new_q[k]
+                state.bb_table[k] = col
 
             # ---- Block 3: cluster feature means (conjugate Gaussian) ----
             if use_features:
-                k_tot = state.k
-                seg_sums = np.zeros((k_tot, d))
-                np.add.at(seg_sums, z, feats)
+                seg_sums = np.bincount(
+                    (z[:, None] * d + np.arange(d)).ravel(),
+                    weights=feats.ravel(),
+                    minlength=k_tot * d,
+                ).reshape(k_tot, d)
                 n_k = np.bincount(z, minlength=k_tot).astype(float)
                 post_var = 1.0 / (1.0 / tau2 + n_k / sigma2)
                 post_mean = post_var[:, None] * seg_sums / sigma2

@@ -62,10 +62,6 @@ def midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-#: Backwards-compatible alias (the function predates its public export).
-_midranks = midranks
-
-
 #: Pairwise-delta blocks are streamed at most this many elements at a time,
 #: bounding sigmoid_auc's peak allocation to a few MB however large |P|·|N|.
 _SIGMOID_AUC_BLOCK = 4_000_000

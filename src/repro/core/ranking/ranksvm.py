@@ -69,9 +69,13 @@ class RankSVM:
                     # own formula without its wrapper.
                     if w.dot(diff) < 1.0:
                         w += eta * diff
-                    norm = math.sqrt(w.dot(w))
-                    if norm > radius:
-                        w *= radius / norm
+                        # Only an update can leave the ball: a step without
+                        # one scales w by 1 − 1/t, far enough below 1 (for
+                        # any t ≪ 1e13) that its norm cannot newly exceed
+                        # the radius, rounding included.
+                        norm = math.sqrt(w.dot(w))
+                        if norm > radius:
+                            w *= radius / norm
         self.coef_ = w
         return self
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.dpmhbp import DPMHBP, DPMHBPModel
+from repro.core.dpmhbp import DPMHBP, DPMHBPModel, _metropolis_probability_steps
 from repro.core.ranking.objective import empirical_auc
+from repro.inference.metropolis import metropolis_probability_step
 
 
 def clustered_data(rng, n_per=120, years=11):
@@ -137,6 +138,31 @@ class TestSampler:
             x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
+
+
+class TestBatchedRateSteps:
+    def test_matches_sequential_steps(self):
+        """K batched rate steps equal K sequential calls bit for bit."""
+        current = [0.02, 0.3, 1e-13, 0.5, 0.97]
+        scales = [0.5, 1.5, 0.2, 3.0, 0.05]
+        centres = np.array([0.05, 0.4, 0.01, 0.6, 0.9])
+
+        def batch_target(p):
+            k = len(current)
+            return [-40.0 * (p[i] - centres[i % k]) ** 2 for i in range(p.size)]
+
+        rng_a = np.random.default_rng(3)
+        rng_b = np.random.default_rng(3)
+        want = [
+            metropolis_probability_step(
+                q, lambda p, c=c: -40.0 * (p - c) ** 2, scale, rng_a
+            )
+            for q, scale, c in zip(current, scales, centres)
+        ]
+        new_p, accepted = _metropolis_probability_steps(current, batch_target, scales, rng_b)
+        assert new_p == [p for p, _ in want]
+        assert accepted == [ok for _, ok in want]
+        assert rng_a.random() == rng_b.random()
 
 
 class TestDPMHBPModel:

@@ -10,6 +10,7 @@ Gibbs blocks draw from.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import dpmhbp as dpmhbp_module
 from repro.core.dpmhbp import DPMHBP
 from repro.core.ranking import ranksvm as ranksvm_module
@@ -111,6 +112,38 @@ class TestDPMHBPScan:
         assert_posteriors_identical(sampler.fit(failures, features), want)
 
 
+class TestScanCertificate:
+    """Most scan steps keep the window's speculative draw; the rest are exact.
+
+    ``dpmhbp.scan_exact_steps`` counts the steps whose certificate failed
+    and that fell back to the exact row.
+    """
+
+    @pytest.fixture()
+    def recorder(self):
+        rec = telemetry.configure(enabled=True)
+        yield rec
+        telemetry.disable()
+
+    def test_births_and_deaths_take_both_paths(self, rng, recorder):
+        failures = (rng.random((150, 9)) < 0.15).astype(np.int8)
+        sampler = DPMHBP(n_sweeps=8, burn_in=2, seed=5, alpha=6.0, feature_weight=0.0)
+        want, events = reference_dpmhbp_fit(sampler, failures)
+        assert events["births"] >= 1 and events["deaths"] >= 1
+        assert_posteriors_identical(sampler.fit(failures), want)
+        exact = recorder.snapshot()["counters"]["dpmhbp.scan_exact_steps"]
+        assert 0 < exact < 8 * 150
+
+    def test_seed_partition_is_mostly_certified(self, small_model_data, recorder):
+        md = small_model_data
+        sampler = DPMHBP(n_sweeps=6, burn_in=2, seed=1)
+        args = (md.seg_fail_train, md.clustering_features(), seed_partition(md))
+        want, _ = reference_dpmhbp_fit(sampler, *args)
+        assert_posteriors_identical(sampler.fit(*args), want)
+        exact = recorder.snapshot()["counters"]["dpmhbp.scan_exact_steps"]
+        assert exact < 0.05 * 6 * md.seg_fail_train.shape[0]
+
+
 def ranking_data(rng, n=400, d=31):
     """Snapshot-shaped data: as many columns as the grid's ranking features."""
     X = rng.standard_normal((n, d))
@@ -136,6 +169,13 @@ class TestRankSVM:
         want, projections = reference_ranksvm_coef(X, y, 0.05, n_pairs, 1, seed=4)
         assert projections > 0
         got = RankSVM(lam=0.05, n_pairs=n_pairs, epochs=1, seed=4).fit(X, y).coef_
+        assert got.tobytes() == want.tobytes()
+
+
+    def test_single_pair(self, rng):
+        X, y = ranking_data(rng)
+        want, _ = reference_ranksvm_coef(X, y, 0.05, 1, 3, seed=5)
+        got = RankSVM(lam=0.05, n_pairs=1, epochs=3, seed=5).fit(X, y).coef_
         assert got.tobytes() == want.tobytes()
 
 
