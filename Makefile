@@ -20,16 +20,17 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only -s
 
-# Perf-regression harness (no pytest-benchmark needed): snapshot the five
-# sampler benchmarks to BENCH_<rev>.json / fail on >25% median regressions.
+# Sampler micro-benchmarks (pytest-benchmark): store a run under
+# .benchmarks/ / fail when any median regresses >25% vs the latest stored run.
 bench-save:
-	PYTHONPATH=src python -m repro.perf save
+	PYTHONPATH=src python -m pytest benchmarks/test_perf_samplers.py --benchmark-only --benchmark-autosave
 
 bench-compare:
-	PYTHONPATH=src python -m repro.perf compare
+	PYTHONPATH=src python -m pytest benchmarks/test_perf_samplers.py --benchmark-only --benchmark-compare --benchmark-compare-fail=median:25%
 
-# Fast perf smoke for tier-1 CI: one DPMHBP sweep + one exact-AUC call
-# must land under a generous ceiling.
+# Fast perf smoke for tier-1 CI: five checks (one DPMHBP sweep, one default
+# RankSVM fit, one exact-AUC call, 200k no-op telemetry calls, a parallel
+# fan-out) must each land under a generous ceiling.
 perfcheck:
 	PYTHONPATH=src python -m repro.perf smoke
 
@@ -39,7 +40,7 @@ perfcheck:
 perfcheck-procs:
 	REPRO_EXECUTOR=processes REPRO_JOBS=2 PYTHONPATH=src python -m repro.perf smoke
 
-# Metric-drift harness (mirrors bench-save/bench-compare for accuracy):
+# Metric-drift harness (save/compare for accuracy):
 # snapshot a run directory's per-cell metrics to HEALTH_<rev>.json / fail
 # when any cell's metric moves outside the band. Usage:
 #   make health-save RUN_DIR=runs/my-run

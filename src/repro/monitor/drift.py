@@ -1,18 +1,22 @@
 """Metric-drift tracking: per-cell metric history vs. saved baselines.
 
-The perf harness (:mod:`repro.perf`) pins the repo's *speed* trajectory
-with ``BENCH_<rev>.json`` snapshots; this module pins its *accuracy*
-trajectory the same way. ``make health-save`` reads every completed
-cell's metrics (AUC, budget-restricted AUC) out of a run journal and
-writes them to ``HEALTH_<rev>.json``; ``make health-compare`` re-reads a
-run directory and flags every cell×model×metric that moved beyond a
-configurable band from the saved baseline.
+This module pins the repo's *accuracy* trajectory. ``make health-save``
+reads every completed cell's metrics (AUC, budget-restricted AUC) out of
+a run journal's completion markers and writes them to
+``HEALTH_<rev>.json``; ``make health-compare`` re-reads a run directory
+and flags every cell×model×metric that moved beyond a configurable band
+from the saved baseline. (Speed is pinned elsewhere: ``gridbench`` end
+to end, and pytest-benchmark's save/compare on the sampler suite.)
 
 Band semantics: metrics whose baseline and current values both lie in
 ``[0, 1]`` (AUC-family) compare on an **absolute** band (default
 ``0.02``); anything else compares on a **relative** band of the same
 numeric value (default 2%⇒band·|baseline|), so unbounded metrics don't
 inherit a meaningless absolute tolerance.
+
+A comparison that checked nothing is not a pass: when the run shares no
+metric with the baseline (``n_compared == 0``) the verdict is ``warn``,
+even though ``missing``/``added`` entries never flag on their own.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pathlib import Path
 #: Default drift band (absolute for [0,1]-scale metrics, relative otherwise).
 DEFAULT_BAND = 0.02
 
-#: Baseline snapshot filename stem (mirrors ``BENCH_<rev>.json``).
+#: Baseline snapshot filename stem.
 BASELINE_PREFIX = "HEALTH_"
 
 
@@ -74,7 +78,8 @@ class DriftReport:
 
     @property
     def ok(self) -> bool:
-        return not self.flags
+        # A gate that found nothing to check must not pass.
+        return self.n_compared > 0 and not self.flags
 
     @property
     def verdict(self) -> str:
@@ -107,6 +112,8 @@ class DriftReport:
             lines.append(f"new vs baseline: {', '.join(self.added)}")
         if self.ok:
             lines.append("ok: no metric drifted outside the band")
+        elif not self.n_compared:
+            lines.append("warn: the run shares no metric with the baseline")
         return "\n".join(lines)
 
 
@@ -181,7 +188,8 @@ def compare_to_baseline(
 
     Metrics present on only one side cannot drift; they are reported in
     ``missing`` / ``added`` instead so renamed models and new cells are
-    visible without failing the comparison.
+    visible without flagging. A comparison with no metric in common
+    still grades ``warn`` (see :attr:`DriftReport.ok`).
     """
     if band <= 0:
         raise ValueError("band must be positive")

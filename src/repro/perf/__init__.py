@@ -1,182 +1,134 @@
-"""Benchmark-regression harness: timed snapshots of the sampler hot paths.
+"""Fast perf smoke for tier-1 CI: ``python -m repro.perf smoke``.
 
-The perf trajectory of this repo is a tracked artifact. ``make
-bench-save`` runs the five sampler benchmarks (mirroring
-``benchmarks/test_perf_samplers.py``) and writes their per-benchmark
-medians to ``BENCH_<rev>.json``; ``make bench-compare`` re-times the same
-workloads and fails when any median regresses more than 25% against the
-committed snapshot. ``make perfcheck`` is the cheap tier-1 smoke variant.
+Five checks, each timed once and held under a generous per-check
+ceiling (``--ceiling``, 5 s by default), so an accidental O(n²) path or
+lost vectorization fails CI in seconds without ever flaking on a slow
+machine:
 
-No pytest-benchmark dependency: timing is a plain ``perf_counter`` median
-over a few rounds, which is exactly what the regression gate needs.
+``dpmhbp_one_sweep``     one DPMHBP sweep over 500 segments
+``ranksvm_fit``          one default RankSVM fit on a snapshot-sized matrix
+``empirical_auc_100k``   one exact-AUC call on 100k scores
+``telemetry_noop_200k``  200k disabled span+counter calls
+``parallel_fanout``      two maps over a published shared-memory bundle
+
+Exit 0 when every check lands under the ceiling, 1 otherwise. Wired to
+``make perfcheck`` and (under ``REPRO_EXECUTOR=processes REPRO_JOBS=2``)
+``make perfcheck-procs``. Throughput tracking lives in the
+pytest-benchmark suite ``benchmarks/test_perf_samplers.py`` (``make
+bench-save`` / ``make bench-compare``); end-to-end speed in ``gridbench``.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
+import argparse
 import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .benchmarks import BENCHMARKS
-
-__all__ = [
-    "BENCHMARKS",
-    "DEFAULT_THRESHOLD",
-    "BenchmarkTiming",
-    "Regression",
-    "time_callable",
-    "run_benchmarks",
-    "current_rev",
-    "snapshot_path",
-    "save_snapshot",
-    "load_snapshot",
-    "latest_snapshot",
-    "compare_to_baseline",
-]
-
-#: Default regression gate: fail when a median slows down by more than this.
-DEFAULT_THRESHOLD = 0.25
+__all__ = ["build_parser", "main"]
 
 
-@dataclass(frozen=True)
-class BenchmarkTiming:
-    """Timing of one benchmark: all rounds plus the median the gate uses."""
+def _fanout_worker(task: "tuple[Any, int]") -> float:
+    """Light reduction over one row of a published bundle.
 
-    name: str
-    median_s: float
-    times_s: tuple[float, ...]
+    Module-level so process pools can pickle it by name. The handle
+    travels in the task tuple — a few hundred bytes — and the arrays are
+    resolved as read-only zero-copy views on the worker side.
+    """
+    from ..parallel import shm
 
-
-@dataclass(frozen=True)
-class Regression:
-    """One benchmark that slowed beyond the threshold vs. the baseline."""
-
-    name: str
-    baseline_s: float
-    current_s: float
-
-    @property
-    def slowdown(self) -> float:
-        """Fractional slowdown, e.g. 0.4 for 40% slower than baseline."""
-        return self.current_s / self.baseline_s - 1.0
+    handle, i = task
+    arrays = shm.resolve_bundle(handle)
+    x = arrays["x"]
+    return float(x[i % x.shape[0]].sum())
 
 
-def time_callable(fn: Callable[[], Any], rounds: int = 3) -> list[float]:
-    """Wall-clock seconds of ``rounds`` calls of ``fn`` (no warmup round)."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    times = []
-    for _ in range(rounds):
+def _telemetry_noop() -> None:
+    """200k disabled span+counter calls — the cost instrumentation leaves behind.
+
+    Telemetry lives permanently inside sweep loops and worker envelopes,
+    so the *disabled* path must stay a near-free attribute check; any
+    accidental work on it (a dict lookup, an allocation per call) shows
+    up here.
+    """
+    from .. import telemetry
+
+    telemetry.disable()
+    noop_span = telemetry.span
+    noop_count = telemetry.count
+    for _ in range(200_000):
+        with noop_span("hot"):
+            noop_count("iterations")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="python -m repro.perf", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("smoke", help="fast perf sanity check for tier-1 CI")
+    p.add_argument("--ceiling", type=float, default=5.0, help="per-check seconds limit")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the five checks, print one line each; 0 if all beat the ceiling."""
+    ceiling = build_parser().parse_args(argv).ceiling
+
+    import numpy as np
+
+    from ..core.dpmhbp import DPMHBP
+    from ..core.ranking.objective import empirical_auc
+    from ..core.ranking.ranksvm import RankSVM
+    from ..parallel import parallel_map, resolve_executor, shm
+
+    rng = np.random.default_rng(0)
+    failures = (rng.random((500, 11)) < 0.02).astype(np.int8)
+    features = rng.standard_normal((500, 10))
+    scores = rng.standard_normal(100_000)
+    labels = (rng.random(100_000) < 0.01).astype(float)
+    labels[0] = 1.0
+    # A snapshot-sized ranking matrix: ~4k pipes, ~30 columns, 2% positives.
+    rank_X = rng.standard_normal((4_000, 30))
+    rank_y = (rng.random(4_000) < 0.02).astype(float)
+    rank_y[0] = 1.0
+
+    def _fanout_check() -> None:
+        config = resolve_executor()
+        bundle = shm.publish_bundle(
+            {"x": rng.standard_normal((8, 50_000))}, config=config
+        )
+        tasks = [(bundle, i) for i in range(8)]
+        try:
+            first = parallel_map(_fanout_worker, tasks, config)
+            second = parallel_map(_fanout_worker, tasks, config)
+        finally:
+            shm.release(bundle)
+        if first != second:
+            raise AssertionError("parallel fan-out is not deterministic")
+        if shm.active_segments():
+            raise AssertionError("released bundle left shared-memory segments")
+
+    checks = {
+        "dpmhbp_one_sweep": lambda: DPMHBP(n_sweeps=1, burn_in=0, seed=0).fit(
+            failures, features
+        ),
+        # The SVM comparator's fit (and AUC-Rank's warm start): 150k
+        # sequential Pegasos steps at the defaults.
+        "ranksvm_fit": lambda: RankSVM().fit(rank_X, rank_y),
+        "empirical_auc_100k": lambda: empirical_auc(scores, labels),
+        "telemetry_noop_200k": _telemetry_noop,
+        # Fan-out sanity under whatever REPRO_EXECUTOR/REPRO_JOBS the CI
+        # run sets: two maps, each through its own per-call pool when
+        # processes-mode, over a published bundle; the results must agree
+        # and no shared-memory segment may outlive the release.
+        "parallel_fanout": _fanout_check,
+    }
+    failed = False
+    for name, fn in checks.items():
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    return times
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def run_benchmarks(
-    names: list[str] | None = None, rounds: int = 3
-) -> dict[str, BenchmarkTiming]:
-    """Set up and time the named benchmarks (all five by default)."""
-    names = list(BENCHMARKS) if names is None else names
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        raise ValueError(f"unknown benchmarks {unknown}; available: {list(BENCHMARKS)}")
-    results: dict[str, BenchmarkTiming] = {}
-    for name in names:
-        fn = BENCHMARKS[name]()
-        times = time_callable(fn, rounds=rounds)
-        results[name] = BenchmarkTiming(
-            name=name, median_s=_median(times), times_s=tuple(times)
-        )
-    return results
-
-
-def current_rev() -> str:
-    """Short git revision of the working tree, or ``"worktree"`` outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=10,
-        )
-        return out.stdout.strip() or "worktree"
-    except (OSError, subprocess.SubprocessError):
-        return "worktree"
-
-
-def snapshot_path(directory: Path | str = ".", rev: str | None = None) -> Path:
-    """``BENCH_<rev>.json`` inside ``directory``."""
-    return Path(directory) / f"BENCH_{rev or current_rev()}.json"
-
-
-def save_snapshot(
-    directory: Path | str = ".",
-    rev: str | None = None,
-    rounds: int = 3,
-    names: list[str] | None = None,
-) -> Path:
-    """Run the benchmarks and write their medians to ``BENCH_<rev>.json``."""
-    results = run_benchmarks(names=names, rounds=rounds)
-    rev = rev or current_rev()
-    payload = {
-        "rev": rev,
-        "rounds": rounds,
-        "medians_s": {name: t.median_s for name, t in results.items()},
-        "times_s": {name: list(t.times_s) for name, t in results.items()},
-    }
-    path = snapshot_path(directory, rev)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_snapshot(path: Path | str) -> dict:
-    """Read a ``BENCH_*.json`` snapshot."""
-    payload = json.loads(Path(path).read_text())
-    if "medians_s" not in payload:
-        raise ValueError(f"{path} is not a benchmark snapshot (no 'medians_s' key)")
-    return payload
-
-
-def latest_snapshot(directory: Path | str = ".") -> Path | None:
-    """Most recently modified ``BENCH_*.json`` in ``directory``, if any."""
-    candidates = sorted(
-        Path(directory).glob("BENCH_*.json"), key=lambda p: p.stat().st_mtime
-    )
-    return candidates[-1] if candidates else None
-
-
-def compare_to_baseline(
-    baseline: dict,
-    current: dict[str, BenchmarkTiming],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[Regression]:
-    """Benchmarks whose current median exceeds baseline by > ``threshold``.
-
-    Benchmarks present on only one side are ignored (new benchmarks can't
-    regress; retired ones can't be re-timed).
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    regressions = []
-    for name, baseline_s in baseline["medians_s"].items():
-        timing = current.get(name)
-        if timing is None or baseline_s <= 0:
-            continue
-        if timing.median_s > baseline_s * (1.0 + threshold):
-            regressions.append(
-                Regression(name=name, baseline_s=baseline_s, current_s=timing.median_s)
-            )
-    return regressions
+        elapsed = time.perf_counter() - start
+        ok = elapsed <= ceiling
+        failed = failed or not ok
+        print(f"{name:<20s} {1000 * elapsed:8.1f} ms  (ceiling {ceiling:.1f} s)"
+              f"  {'ok' if ok else 'TOO SLOW'}")
+    return 1 if failed else 0

@@ -191,16 +191,6 @@ def execute_cell(
                 seed=current.seed,
                 duration_s=duration,
                 models=list(run.evaluations),
-                # Headline metrics ride along so the drift tracker and
-                # `repro doctor` can read the run's metric history from
-                # the event log alone (checkpoints may be pruned later).
-                metrics={
-                    name: {
-                        "auc": ev.auc,
-                        "auc_budget_permyriad": ev.auc_budget_permyriad,
-                    }
-                    for name, ev in run.evaluations.items()
-                },
             )
         return CellOutcome(
             spec=current, status="ok", run=run, attempts=attempt, duration_s=duration

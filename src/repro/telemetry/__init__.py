@@ -51,7 +51,6 @@ from .recorder import (
     gauge,
     get_recorder,
     span,
-    timed_iter,
 )
 from .status import TRACE_NAME, CellStatus, RunStatus, format_status, run_status
 
@@ -84,6 +83,5 @@ __all__ = [
     "sanitize_metric_name",
     "span",
     "summarize_trace",
-    "timed_iter",
     "write_metrics",
 ]

@@ -5,7 +5,7 @@ One process-global :class:`TelemetryRecorder` backs the module-level
 hot paths call. Telemetry is **off by default** and the disabled path is a
 single attribute check returning a shared no-op context manager — cheap
 enough to leave instrumentation permanently in sweep loops (the perf
-smoke's ``telemetry_noop`` check asserts this stays true).
+smoke's ``telemetry_noop_200k`` check asserts this stays true).
 
 Enabled, the recorder keeps everything in memory (thread-safe; span
 parentage via a per-thread stack) and, when given a ``trace_path``,
@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 #: Environment variable carrying the trace path into worker processes.
 TRACE_ENV = "REPRO_TRACE"
@@ -303,18 +303,3 @@ def gauge(name: str, value: float) -> None:
 def flush() -> None:
     _recorder.flush()
 
-
-def timed_iter(name: str, iterable: "Iterator | Any") -> Iterator:
-    """Yield from ``iterable``, counting ``<name>`` once per item.
-
-    Convenience for sweep loops: ``for sweep in timed_iter("dpmhbp.sweeps",
-    range(n))`` bumps the counter without littering the loop body. The
-    disabled path adds one truthiness check per item.
-    """
-    rec = _recorder
-    if not rec.enabled:
-        yield from iterable
-        return
-    for item in iterable:
-        rec.count(name)
-        yield item

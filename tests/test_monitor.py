@@ -12,7 +12,8 @@ Pins the contracts of :mod:`repro.monitor`:
   chains into ``health_``;
 * the run journal carries each fit's ``health_`` in its cell's completion
   marker, restores it on resume, and keeps it out of the drift metrics;
-* drift baselines flag cell×model×metric moves outside the band;
+* drift baselines flag cell×model×metric moves outside the band, and a
+  comparison with no metric in common grades ``warn``, never ``pass``;
 * ``repro doctor`` folds failures > per-cell chain health > drift into
   exit codes 0/1/2 (no health report at all is a warning), with
   ``--json`` and ``--metrics-out`` round-tripping.
@@ -364,12 +365,21 @@ class TestDrift:
         assert [f.relative for f in report.flags] == [True]
 
     def test_missing_and_added_metrics_do_not_flag(self):
-        baseline = {"rev": "r", "cells": {"c": {"Old": {"auc": 0.7}}}}
-        current = {"cells": {"c": {"New": {"auc": 0.7}}}}
+        baseline = {"rev": "r", "cells": {"c": {"Old": {"auc": 0.7}, "Kept": {"auc": 0.6}}}}
+        current = {"cells": {"c": {"New": {"auc": 0.7}, "Kept": {"auc": 0.6}}}}
         report = compare_to_baseline(baseline, current)
-        assert report.ok
+        assert report.ok and report.n_compared == 1
         assert report.missing == ["c/Old/auc"]
         assert report.added == ["c/New/auc"]
+
+    def test_nothing_compared_is_a_warning(self):
+        # A gate that found nothing to check must not pass.
+        baseline = {"rev": "r", "cells": {"A-r000": {"HBP": {"auc": 0.8}}}}
+        report = compare_to_baseline(baseline, {"cells": {}})
+        assert report.n_compared == 0 and not report.flags
+        assert not report.ok and report.verdict == "warn"
+        assert report.missing == ["A-r000/HBP/auc"]
+        assert "shares no metric with the baseline" in report.format()
 
     def test_band_must_be_positive(self):
         with pytest.raises(ValueError, match="band"):
@@ -403,6 +413,16 @@ class TestDrift:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "warn"
         assert [f["metric"] for f in report["flags"]] == ["auc"]
+
+    def test_monitor_cli_disjoint_baseline_exits_one(self, tmp_path, capsys):
+        run_dir = _completed_run(tmp_path)
+        baseline = tmp_path / "HEALTH_disjoint.json"
+        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
+        rc = monitor_main(["compare", str(run_dir), str(baseline), "--json"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "warn" and report["n_compared"] == 0
+        assert report["flags"] == []
 
     def test_monitor_cli_without_baseline_exits_two(self, tmp_path, capsys):
         run_dir = _completed_run(tmp_path)
@@ -451,6 +471,15 @@ class TestDoctor:
         assert report.verdict == "warn" and report.exit_code == 1
         assert len(report.drift.flags) == 1
 
+    def test_disjoint_baseline_is_a_warning_exit_one(self, tmp_path):
+        run_dir = _completed_run(tmp_path)
+        assert diagnose(run_dir).verdict == "pass"
+        baseline = tmp_path / "HEALTH_disjoint.json"
+        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
+        report = diagnose(run_dir, baseline=baseline)
+        assert report.drift.n_compared == 0 and not report.drift.flags
+        assert report.verdict == "warn" and report.exit_code == 1
+
     def test_completed_cells_without_health_warn(self, tmp_path):
         # A gate that found nothing to check must not pass.
         report = diagnose(_completed_run(tmp_path, health=False))
@@ -486,6 +515,13 @@ class TestDoctorCLI:
         baseline.write_text(json.dumps(payload))
         assert cli_main(["doctor", str(run_dir), "--baseline", str(baseline)]) == 1
         assert "DRIFT: A-r000/Cox/auc" in capsys.readouterr().out
+
+    def test_disjoint_baseline_exits_one(self, tmp_path, capsys):
+        run_dir = _completed_run(tmp_path)
+        baseline = tmp_path / "HEALTH_disjoint.json"
+        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
+        assert cli_main(["doctor", str(run_dir), "--baseline", str(baseline)]) == 1
+        assert "shares no metric with the baseline" in capsys.readouterr().out
 
     def test_json_output_parses(self, tmp_path, capsys):
         run_dir = _completed_run(tmp_path)

@@ -131,11 +131,6 @@ class TestCountersAndGauges:
         telemetry.gauge("accept", 0.3)
         assert rec.snapshot()["gauges"] == {"accept": 0.3}
 
-    def test_timed_iter_counts_items(self):
-        rec = telemetry.configure(enabled=True)
-        assert list(telemetry.timed_iter("sweeps", range(4))) == [0, 1, 2, 3]
-        assert rec.snapshot()["counters"] == {"sweeps": 4.0}
-
     def test_reset_drops_everything(self):
         rec = telemetry.configure(enabled=True)
         with telemetry.span("s"):
@@ -159,10 +154,6 @@ class TestDisabledIsNoOp:
             telemetry.gauge("g", 2.0)
         snap = telemetry.get_recorder().snapshot()
         assert snap["spans"] == [] and snap["counters"] == {} and snap["gauges"] == {}
-
-    def test_disabled_timed_iter_passthrough(self):
-        assert list(telemetry.timed_iter("c", iter("ab"))) == ["a", "b"]
-        assert telemetry.get_recorder().snapshot()["counters"] == {}
 
 
 class TestTraceFile:
