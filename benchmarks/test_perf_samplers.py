@@ -2,8 +2,8 @@
 
 Unlike the experiment benchmarks (run once via pedantic), these measure
 steady-state throughput of the hot paths: DPMHBP Gibbs sweeps, HBP
-sweeps, exact-AUC evaluation, one evolution-strategy generation and the
-run journal's checkpoint round-trip. This is the repo's one sampler
+sweeps, exact-AUC evaluation, one evolution-strategy generation, the
+RankSVM and Weibull fits and the run journal's checkpoint round-trip. This is the repo's one sampler
 micro-benchmark suite: ``make bench-save`` stores a run under
 ``.benchmarks/`` and ``make bench-compare`` fails when any median
 regresses more than 25% against the latest stored run. The pedantic
@@ -19,8 +19,10 @@ from repro.core.dpmhbp import DPMHBP
 from repro.core.hbp import fit_hbp
 from repro.core.ranking.evolutionary import EvolutionStrategy
 from repro.core.ranking.objective import empirical_auc
+from repro.core.ranking.ranksvm import RankSVM
 from repro.eval.experiment import ModelEvaluation, RegionRun
 from repro.runs import CellSpec, RunJournal
+from repro.survival.weibull import WeibullNHPP
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,45 @@ def test_perf_es_generation(benchmark):
 
     res = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
     assert 0.0 <= res.best_value <= 1.0
+
+
+def test_perf_ranksvm_fit(benchmark):
+    """One default RankSVM fit (150k Pegasos steps) on snapshot-shaped data.
+
+    Five stacked snapshot years of 190 pipes by the 31 ranking features,
+    as the grid's SVM fits (gridbench's ``core.ranking.svm_fit_s``).
+    """
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((950, 31))
+    score = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + rng.standard_normal(950)
+    y = (score > np.quantile(score, 0.98)).astype(float)
+
+    def run():
+        return RankSVM(seed=0).fit(X, y)
+
+    svm = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+    assert svm.coef_.shape == (31,)
+
+
+def test_perf_weibull_fit(benchmark):
+    """One Weibull NHPP fit on 1,000 pipes × 11 training years, 20 covariates.
+
+    The grid's Weibull fit in shape (gridbench's
+    ``core.survival_models.weibull_fit_s``): per-pipe failure counts and
+    age windows, a golden-section search over the shape.
+    """
+    rng = np.random.default_rng(0)
+    n, years = 1000, 11
+    X = rng.standard_normal((n, 20))
+    ages = rng.uniform(-5.0, 80.0, n)[:, None] + np.arange(years)
+    rate = 2e-4 * np.maximum(ages, 0.0) * np.exp(0.3 * X[:, 0])[:, None]
+    counts = rng.poisson(rate).astype(float)
+
+    def run():
+        return WeibullNHPP(l2=1e-3).fit(X, counts, ages, ages + 1.0)
+
+    model = benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+    assert 0.2 <= model.shape_ <= 6.0
 
 
 def test_perf_run_journal(benchmark, tmp_path):

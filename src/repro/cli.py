@@ -228,7 +228,7 @@ def _parent_parser() -> argparse.ArgumentParser:
         "--on-error",
         choices=["raise", "skip", "retry"],
         default="raise",
-        help="failing-cell policy (retry reseeds degenerate regions)",
+        help="failing-cell policy (retry reruns a failed cell on its own seed)",
     )
     run.add_argument(
         "--retries", type=int, default=2, help="extra attempts per cell under retry"

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betaln
@@ -77,7 +76,7 @@ from scipy.special import betaln
 from .. import telemetry
 from ..bayes.distributions import beta_logpdf
 from ..features.builder import ModelData
-from ..inference.metropolis import AdaptiveScale, expit, logit
+from ..inference.metropolis import AdaptiveScale, metropolis_probability_steps
 from ..ml.glm import PoissonRegression
 from ..monitor.health import ChainHealth, HealthReport
 from ..parallel import shm
@@ -165,40 +164,6 @@ def _certified_draws(spec: np.ndarray) -> tuple[list[int], list[float]]:
     with np.errstate(invalid="ignore"):
         margin = v1 - v2 - 1e-12 * (1.0 + np.abs(v1) + np.abs(v2))
     return best.tolist(), margin.tolist()
-
-
-def _metropolis_probability_steps(
-    current_p: Sequence[float],
-    log_targets: Callable[[np.ndarray], Sequence[float]],
-    scales: Sequence[float],
-    rng: np.random.Generator,
-) -> tuple[list[float], list[bool]]:
-    """``metropolis_probability_step`` on K independent rates at once.
-
-    Rate k's target depends on it alone, so the K steps commute. They draw
-    the same normal-then-uniform pair per rate, in order, and
-    ``log_targets`` scores all 2K points in one call: it receives the K
-    current rates followed by the K proposals and returns their log
-    targets. Values and acceptances are bit-identical to K sequential
-    ``metropolis_probability_step`` calls.
-    """
-    xs: list[float] = []
-    proposals: list[float] = []
-    log_u: list[float] = []
-    for p, scale in zip(current_p, scales):
-        x = logit(min(max(p, 1e-12), 1.0 - 1e-12))
-        xs.append(x)
-        proposals.append(x + scale * rng.standard_normal())
-        log_u.append(math.log(rng.random()))
-    points = [min(max(expit(x), 1e-12), 1.0 - 1e-12) for x in xs + proposals]
-    logp = [
-        lt + math.log(p) + math.log1p(-p)
-        for lt, p in zip(log_targets(np.array(points)), points)
-    ]
-    k = len(xs)
-    accepted = [log_u[i] < logp[k + i] - logp[i] for i in range(k)]
-    new_p = [expit(proposals[i] if accepted[i] else xs[i]) for i in range(k)]
-    return new_p, accepted
 
 
 @dataclass
@@ -569,7 +534,7 @@ class DPMHBP:
                 cols = state.bb_columns(p)
                 return [prior[i] + float(hist[i % k_tot] @ cols[i]) for i in range(p.size)]
 
-            new_q, accepted = _metropolis_probability_steps(
+            new_q, accepted = metropolis_probability_steps(
                 state.q, log_targets, [sc.scale for sc in scales], rng
             )
             for scale, ok in zip(scales, accepted):

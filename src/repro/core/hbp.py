@@ -12,7 +12,12 @@ Inference is Metropolis-within-Gibbs:
 * ``π_i`` — exact conjugate Beta draw given ``q_k`` and the pipe's counts;
 * ``q_k`` — logit-scale random-walk Metropolis against the collapsed
   Beta–Binomial likelihood of its members (the Beta layer over ``π`` is
-  integrated out for this block, improving mixing).
+  integrated out for this block, improving mixing). Members enter only
+  through their group's histogram of failure counts over 0..m, and the
+  K groups' steps are independent, so one batched step
+  (:func:`~repro.inference.metropolis.metropolis_probability_steps`, the
+  one DPMHBP's rate block takes) scores every current and proposed rate
+  at once. The ``"slice"`` alternative steps one group at a time.
 
 Covariates modulate the posterior risk multiplicatively, Cox-style, via a
 Poisson GLM factor (``repro.ml.PoissonRegression.covariate_factor``).
@@ -26,7 +31,8 @@ import numpy as np
 
 from ..bayes.distributions import beta_binomial_logmarginal, beta_logpdf
 from ..features.builder import ModelData
-from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
+from ..inference.metropolis import AdaptiveScale, metropolis_probability_steps
+from ..inference.slice import slice_probability_step
 from ..ml.glm import PoissonRegression
 from .base import FailureModel
 from .grouping import fixed_grouping
@@ -73,13 +79,33 @@ def fit_hbp(
     if burn_in >= n_sweeps:
         raise ValueError("burn_in must be smaller than n_sweeps")
     n_groups = int(groups.max()) + 1
-    s = failures.sum(axis=1).astype(float)  # successes per unit
+    s = failures.sum(axis=1).astype(np.int64)  # successes per unit
+    if s.min() < 0 or s.max() > n_years:
+        raise ValueError("failures must be binary")
     m = float(n_years)
+    a0, b0 = c0 * q0, c0 * (1.0 - q0)
+
+    # Failure counts live on the grid 0..m, so a group's collapsed
+    # likelihood is its count histogram dotted with the (m+1)-long
+    # Beta–Binomial column at its rate: O(m) per target, whatever the
+    # group's size, and an empty group scores its prior alone.
+    n_bins = n_years + 1
+    s_grid = np.arange(m + 1.0)
+    hist = np.bincount(groups * n_bins + s, minlength=n_groups * n_bins)
+    hist = hist.reshape(n_groups, n_bins).astype(float)
+
+    def log_targets(p: np.ndarray, rows: np.ndarray) -> list[float]:
+        """Log target of rate ``p[i]`` for group ``rows[i]``."""
+        cols = beta_binomial_logmarginal(
+            s_grid, m, c_group * p[:, None], c_group * (1.0 - p[:, None])
+        )
+        lik = np.einsum("ij,ij->i", hist[rows], cols)
+        return (beta_logpdf(p, a0, b0) + lik).tolist()
 
     rng = np.random.default_rng(seed)
     q = np.full(n_groups, q0)
     scales = [AdaptiveScale() for _ in range(n_groups)]
-    member_s = [s[groups == k] for k in range(n_groups)]
+    both = np.tile(np.arange(n_groups), 2)  # current rates, then proposals
 
     pi_acc = np.zeros(n_units)
     q_acc = np.zeros(n_groups)
@@ -89,32 +115,26 @@ def fit_hbp(
     kept = 0
     for sweep in range(n_sweeps):
         # Block 1: q_k via logit Metropolis on the collapsed likelihood.
-        for k in range(n_groups):
-            sk = member_s[k]
-
-            def log_target(qk: float, sk=sk) -> float:
-                prior = float(beta_logpdf(qk, c0 * q0, c0 * (1.0 - q0)))
-                lik = float(
-                    np.sum(
-                        beta_binomial_logmarginal(sk, m, c_group * qk, c_group * (1.0 - qk))
-                    )
+        if sampler == "slice":
+            for k in range(n_groups):
+                q[k] = slice_probability_step(
+                    q[k], lambda qk, k=k: log_targets(np.array([qk]), [k])[0], rng
                 )
-                return prior + lik
-
-            if sampler == "slice":
-                from ..inference.slice import slice_probability_step
-
-                q[k] = slice_probability_step(q[k], log_target, rng)
-                accepted = True  # slice updates always move within the slice
-            else:
-                q[k], accepted = metropolis_probability_step(
-                    q[k], log_target, scales[k].scale, rng
-                )
-                scales[k].update(accepted)
-            n_prop += 1
-            n_accept += int(accepted)
-            if sweep == burn_in:
-                scales[k].freeze()
+            accepted = [True] * n_groups  # slice updates always move within the slice
+        else:
+            # The groups' steps are independent, so every current and
+            # proposed rate is scored in one batch.
+            new_q, accepted = metropolis_probability_steps(
+                q, lambda p: log_targets(p, both), [sc.scale for sc in scales], rng
+            )
+            q[:] = new_q
+            for scale, ok in zip(scales, accepted):
+                scale.update(ok)
+        n_prop += n_groups
+        n_accept += sum(accepted)
+        if sweep == burn_in:
+            for scale in scales:
+                scale.freeze()
 
         # Block 2: π_i exact conjugate draw given q.
         a = c_group * q[groups] + s

@@ -21,7 +21,11 @@ def empirical_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Exact AUC of ``scores`` against binary ``labels`` (ties count 1/2).
 
     Computed with the rank-sum (Mann–Whitney) identity in O(n log n)
-    rather than the literal O(|P|·|N|) double sum.
+    rather than the literal O(|P|·|N|) double sum. Only the positives'
+    ranks enter the sum, so one sort of the scores and two binary
+    searches per positive give each one's tie block ``[lo, hi)`` and its
+    :func:`midranks` value ``0.5·(lo + hi − 1) + 1``. Every term is a
+    half-integer, so the sum is exact and equals the full-ranking one.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float).ravel()
@@ -32,8 +36,11 @@ def empirical_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative")
-    ranks = midranks(scores)
-    rank_sum = float(ranks[pos].sum())
+    ordered = np.sort(scores)
+    pos_scores = scores[pos]
+    lo = np.searchsorted(ordered, pos_scores, side="left")
+    hi = np.searchsorted(ordered, pos_scores, side="right")
+    rank_sum = float((0.5 * (lo + hi - 1) + 1.0).sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -41,10 +48,10 @@ def empirical_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their block.
 
-    The repo's one rank-sum implementation (every AUC path goes through
-    it). Fully vectorized: tie blocks are the runs between change points
-    of the sorted array, and each block's mean rank broadcasts back via
-    ``np.repeat``.
+    The full ranking of ``x``; :func:`empirical_auc` computes the same
+    values for the positives alone. Fully vectorized: tie blocks are the
+    runs between change points of the sorted array, and each block's mean
+    rank broadcasts back via ``np.repeat``.
     """
     x = np.asarray(x)
     n = x.size

@@ -6,7 +6,10 @@ is exactly an SVM on pair-difference vectors, trained here with Pegasos-
 style stochastic subgradient steps over sampled pairs (the full pair set
 is |P|·|N| and never materialised). The sampled pairs are differenced in
 blocks bounded in bytes, so memory stays flat however many pairs are
-drawn.
+drawn. The iterate is kept scaled by the step count (``w = u/t``), which
+is the same Pegasos iteration in exact arithmetic without the per-step
+shrink of every weight; in floating point it agrees with the textbook
+loop to about 1e-13 relative.
 
 This is the "SVM-based ranking approach ... with a linear kernel" the
 evaluation protocol compares.
@@ -54,7 +57,12 @@ class RankSVM:
         lam = self.lam
         # Pegasos projection onto the ||w|| <= 1/sqrt(lam) ball.
         radius = 1.0 / math.sqrt(lam)
-        w = np.zeros(d)
+        # Pegasos shrinks all of w by 1 − 1/t every step. Carrying
+        # u = t·w instead folds that shrink into t: the hinge test
+        # (1 − 1/t)·w·diff < 1 becomes u·diff < t, an update
+        # w += diff/(λt) becomes u += diff/λ, and the ball becomes
+        # ||u|| <= radius·t. A step without an update is one dot product.
+        u = np.zeros(d)
         t = 0
         for _ in range(self.epochs):
             p = rng.choice(pos_idx, size=self.n_pairs)
@@ -62,21 +70,17 @@ class RankSVM:
             for lo in range(0, self.n_pairs, block):
                 for diff in X[p[lo : lo + block]] - X[n[lo : lo + block]]:
                     t += 1
-                    eta = 1.0 / (lam * t)
-                    w *= 1.0 - eta * lam
                     # ``ndarray.dot`` is the same dot product as ``@`` at half
-                    # the call cost; sqrt(w.dot(w)) is np.linalg.norm(w)'s
+                    # the call cost; sqrt(u.dot(u)) is np.linalg.norm(u)'s
                     # own formula without its wrapper.
-                    if w.dot(diff) < 1.0:
-                        w += eta * diff
-                        # Only an update can leave the ball: a step without
-                        # one scales w by 1 − 1/t, far enough below 1 (for
-                        # any t ≪ 1e13) that its norm cannot newly exceed
-                        # the radius, rounding included.
-                        norm = math.sqrt(w.dot(w))
-                        if norm > radius:
-                            w *= radius / norm
-        self.coef_ = w
+                    if u.dot(diff) < t:
+                        u += diff / lam
+                        # Only an update can leave the ball: without one,
+                        # ||u|| stays put while radius·t grows.
+                        norm = math.sqrt(u.dot(u))
+                        if norm > radius * t:
+                            u *= radius * t / norm
+        self.coef_ = u / t
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ representations the survival models expect:
   its 1998 age (left truncation), exits at its first training-period
   failure (event) or its 2008 age (censored); the test-year risk is the
   conditional probability of failing in the one-year age window of 2009.
-* **Weibull NHPP** — one exposure row per pipe-year of the training
-  period; the test-year score is the expected failure count in the 2009
-  age window.
+* **Weibull NHPP** — one row per pipe with one exposure window per
+  training year; the test-year score is the expected failure count in
+  the 2009 age window.
 * **time-exponential / power / linear** — age-only rate models applied to
   pipe length exposure (the related-work single-covariate baselines).
 """
@@ -68,13 +68,18 @@ class CoxPHModel(FailureModel):
         )
 
 
+def _pipe_year_windows(data: ModelData) -> tuple[np.ndarray, np.ndarray]:
+    """(failure counts, age at the year's start), both (pipes × training years)."""
+    counts = data.pipe_fail_train.astype(float)
+    ages = np.stack([data.pipe_ages(y) for y in data.train_years], axis=1)
+    return counts, ages
+
+
 def _pipe_year_exposure(data: ModelData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked per-pipe-per-training-year rows: (X, counts, age_start, age_end)."""
-    n_years = len(data.train_years)
-    X = np.repeat(data.X_pipe, n_years, axis=0)
-    counts = data.pipe_fail_train.astype(float).ravel()
-    ages = np.stack([data.pipe_ages(y) for y in data.train_years], axis=1).ravel()
-    return X, counts, ages, ages + 1.0
+    counts, ages = _pipe_year_windows(data)
+    X = np.repeat(data.X_pipe, counts.shape[1], axis=0)
+    return X, counts.ravel(), ages.ravel(), ages.ravel() + 1.0
 
 
 @dataclass
@@ -86,8 +91,8 @@ class WeibullModel(FailureModel):
     _model: WeibullNHPP | None = field(default=None, repr=False)
 
     def fit(self, data: ModelData) -> "WeibullModel":
-        X, counts, a0, a1 = _pipe_year_exposure(data)
-        self._model = WeibullNHPP(l2=self.l2).fit(X, counts, a0, a1)
+        counts, ages = _pipe_year_windows(data)
+        self._model = WeibullNHPP(l2=self.l2).fit(data.X_pipe, counts, ages, ages + 1.0)
         return self
 
     def predict_pipe_risk(self, data: ModelData) -> np.ndarray:

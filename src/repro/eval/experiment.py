@@ -129,10 +129,43 @@ def prepare_region_data(
 class NoTestFailuresError(ValueError):
     """A generated region has no test-year failures, so AUC is undefined.
 
-    The known degenerate mode of small-scale generation; under
-    ``on_error="retry"`` the grid engine handles it by retrying the cell
-    with a deterministically reseeded region (:meth:`CellSpec.reseeded`).
+    The known degenerate mode of small-scale generation. A grid cell
+    never raises it by chance: its region is drawn again until it has a
+    test-year failure (:func:`cell_region_data`), and only a scale too
+    small to produce any in :data:`REGION_DRAWS` draws raises it.
     """
+
+
+#: Region draws a grid cell makes before it gives up on finding a
+#: test-year failure. At scale 0.05, 9% of region-A draws have none, so
+#: all eight are empty by chance with probability ~0.091⁸ ≈ 5e-9.
+REGION_DRAWS = 8
+
+#: Draw ``i ≥ 1`` of a cell with seed ``s`` uses seed ``(s or 0) + 50021 + i``.
+_REDRAW_OFFSET = 50021
+
+
+def cell_region_data(spec: CellSpec) -> tuple[int | None, ModelData]:
+    """A cell's region, conditioned on at least one test-year failure.
+
+    The paper's test-year AUC needs a failure to rank. The first draw uses
+    the cell's own seed, so every region that has one is unchanged; an
+    empty draw moves on along the fixed chain ``(s or 0) + 50022``,
+    ``+ 50023``, … Returns the seed of the region used and its data.
+    """
+    seeds = [spec.seed] + [
+        (spec.seed or 0) + _REDRAW_OFFSET + i for i in range(1, REGION_DRAWS)
+    ]
+    for seed in seeds:
+        data = prepare_region_data(
+            spec.region, seed=seed, scale=spec.scale, feature_config=spec.feature_config
+        )
+        if data.pipe_fail_test.sum() > 0:
+            return seed, data
+    raise NoTestFailuresError(
+        f"region {spec.region!r} at scale {spec.scale} has no test-year failures "
+        f"on any of {REGION_DRAWS} seeds from {spec.seed}; increase the scale"
+    )
 
 
 def evaluate_models(
@@ -222,14 +255,10 @@ def _comparison_cell(spec: CellSpec) -> RegionRun:
     region from the cache and fits a fresh model line-up, so cells are
     independent and their results depend only on the seeds they carry.
     """
-    data = prepare_region_data(
-        spec.region, seed=spec.seed, scale=spec.scale, feature_config=spec.feature_config
-    )
+    seed, data = cell_region_data(spec)
     factory = spec.models_factory or (lambda s: default_models(seed=s, fast=spec.fast))
     models = factory(spec.repeat)
-    return evaluate_models(
-        data, models, budget=spec.budget, region=spec.region, seed=spec.seed or 0
-    )
+    return evaluate_models(data, models, budget=spec.budget, region=spec.region, seed=seed or 0)
 
 
 def _grid_config(
@@ -315,9 +344,7 @@ def run_comparison(
     * ``on_error`` — ``"raise"`` (default, old behaviour) aborts the grid
       on the first failed cell; ``"skip"`` drops failing cells into
       ``result.failures`` and keeps going; ``"retry"`` gives each cell
-      ``retries`` extra attempts — same seed for transient faults, a
-      deterministically reseeded region for
-      :class:`NoTestFailuresError` — then skips.
+      ``retries`` extra attempts with the same seed, then skips.
     * ``cell_timeout`` — soft per-cell seconds budget; an overrunning cell
       counts as failed under ``on_error``.
     * ``fault_injector`` — test hook to kill/stall chosen cells

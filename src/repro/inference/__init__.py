@@ -13,6 +13,7 @@ from .metropolis import (
     expit,
     logit,
     metropolis_probability_step,
+    metropolis_probability_steps,
     metropolis_step,
 )
 from .slice import slice_probability_step, slice_sample_step
@@ -28,6 +29,7 @@ __all__ = [
     "expit",
     "logit",
     "metropolis_probability_step",
+    "metropolis_probability_steps",
     "metropolis_step",
     "slice_probability_step",
     "slice_sample_step",

@@ -1,8 +1,9 @@
 """Random-walk Metropolis steps with Robbins–Monro step-size adaptation.
 
-These are the building blocks the DPMHBP sampler composes: scalar
+These are the building blocks the HBP and DPMHBP samplers compose:
 Metropolis updates for group failure rates (on the logit scale so the
-proposal respects the (0, 1) support) with optional adaptation toward a
+proposal respects the (0, 1) support), one at a time or all of a sweep's
+independent rates in one batch, with optional adaptation toward a
 target acceptance probability during burn-in.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,3 +107,37 @@ def metropolis_probability_step(
     x = logit(min(max(current_p, 1e-12), 1.0 - 1e-12))
     new_x, _, accepted = metropolis_step(x, transformed, scale, rng)
     return expit(new_x), accepted
+
+
+def metropolis_probability_steps(
+    current_p: Sequence[float],
+    log_targets: Callable[[np.ndarray], Sequence[float]],
+    scales: Sequence[float],
+    rng: np.random.Generator,
+) -> tuple[list[float], list[bool]]:
+    """``metropolis_probability_step`` on K independent rates at once.
+
+    Rate k's target depends on it alone, so the K steps commute. They draw
+    the same normal-then-uniform pair per rate, in order, and
+    ``log_targets`` scores all 2K points in one call: it receives the K
+    current rates followed by the K proposals and returns their log
+    targets. Values and acceptances are bit-identical to K sequential
+    ``metropolis_probability_step`` calls.
+    """
+    xs: list[float] = []
+    proposals: list[float] = []
+    log_u: list[float] = []
+    for p, scale in zip(current_p, scales):
+        x = logit(min(max(p, 1e-12), 1.0 - 1e-12))
+        xs.append(x)
+        proposals.append(x + scale * rng.standard_normal())
+        log_u.append(math.log(rng.random()))
+    points = [min(max(expit(x), 1e-12), 1.0 - 1e-12) for x in xs + proposals]
+    logp = [
+        lt + math.log(p) + math.log1p(-p)
+        for lt, p in zip(log_targets(np.array(points)), points)
+    ]
+    k = len(xs)
+    accepted = [log_u[i] < logp[k + i] - logp[i] for i in range(k)]
+    new_p = [expit(proposals[i] if accepted[i] else xs[i]) for i in range(k)]
+    return new_p, accepted

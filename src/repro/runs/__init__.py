@@ -7,9 +7,8 @@ config-fingerprinted manifest, an append-only JSONL event log, and an
 atomic per-cell checkpoint for every completed (region, repeat) cell. A
 re-invocation with ``resume=<run_dir>`` skips finished cells
 *bit-identically*; failing cells are isolated by :class:`RunPolicy`
-(``on_error="raise"/"skip"/"retry"``, bounded retries with a
-deterministically reseeded fallback for degenerate regions, soft per-cell
-timeouts); and :class:`FaultInjector` lets tests kill or stall chosen
+(``on_error="raise"/"skip"/"retry"``, bounded same-seed retries, soft
+per-cell timeouts); and :class:`FaultInjector` lets tests kill or stall chosen
 cells on purpose.
 
 Layering: this package owns identity (:class:`CellSpec`), persistence
@@ -41,7 +40,7 @@ from .journal import (
     RunJournal,
     config_fingerprint,
 )
-from .spec import RESEED_OFFSET, CellSpec
+from .spec import CellSpec
 
 __all__ = [
     "ON_ERROR_MODES",
@@ -59,6 +58,5 @@ __all__ = [
     "JournalError",
     "RunJournal",
     "config_fingerprint",
-    "RESEED_OFFSET",
     "CellSpec",
 ]

@@ -9,14 +9,11 @@ at the grid level; ``"skip"`` drops the cell; ``"retry"`` already happened
 here), so a process-pool worker never dies mid-grid and one bad cell can
 no longer discard its siblings' work.
 
-Retry semantics (``on_error="retry"``):
-
-* transient faults (anything but the degenerate-region case) retry the
-  *same* spec — a crashed cell reruns bit-identically;
-* :class:`~repro.eval.experiment.NoTestFailuresError` — the known "this
-  generated region has no test-year failures" mode — retries a
-  deterministically *reseeded* spec (:meth:`CellSpec.reseeded`), because
-  rerunning the same degenerate seed can only fail again.
+Retry semantics (``on_error="retry"``): a failed attempt reruns the
+*same* spec, so a crashed cell reruns bit-identically. A region without
+test-year failures is no fault of the cell's: region preparation already
+draws the region again until it has one
+(:func:`~repro.eval.experiment.cell_region_data`).
 
 Completed cells are checkpointed from inside the worker (not after the
 grid joins), which is what makes a killed run resumable: everything that
@@ -75,7 +72,7 @@ class RunPolicy:
 class CellOutcome:
     """Envelope for one cell's execution: success, failure, or checkpoint hit."""
 
-    spec: CellSpec  # the spec that actually ran (reseeded retries differ from the grid's)
+    spec: CellSpec
     status: str  # "ok" | "failed"
     run: "RegionRun | None" = None
     error: str | None = None  # formatted traceback of the final attempt
@@ -106,7 +103,6 @@ def execute_cell(
     spec, compute, run_dir, policy = task
     journal = RunJournal.open(run_dir) if run_dir else None
     cell_id = spec.cell_id
-    from ..eval.experiment import NoTestFailuresError
 
     if journal is not None and journal.cell_done(cell_id):
         # Belt and braces: the parent already filters completed cells, but a
@@ -119,21 +115,19 @@ def execute_cell(
         except Exception:  # noqa: BLE001 — fall through to recompute
             pass
 
-    current = spec
     start = time.perf_counter()
     last_error: BaseException | None = None
     attempt = 0
     for attempt in range(1, policy.attempts + 1):
         if journal is not None:
             journal.log_event(
-                "cell_started", cell=cell_id, attempt=attempt, seed=current.seed
+                "cell_started", cell=cell_id, attempt=attempt, seed=spec.seed
             )
         # Fresh token per attempt: timing out attempt N must not poison a
         # clean attempt N+1 of the same cell.
         token = CancelToken()
 
         def _attempt(
-            spec_now: CellSpec = current,
             attempt_now: int = attempt,
             token: CancelToken = token,
         ) -> "RegionRun":
@@ -142,7 +136,7 @@ def execute_cell(
             if policy.fault_injector is not None:
                 policy.fault_injector.trip(cell_id)
             with telemetry.span("cell.compute", cell=cell_id, attempt=attempt_now):
-                run = compute(spec_now)
+                run = compute(spec)
             # Worker-side checkpoint (what makes a killed run resumable) —
             # but only while the grid is still waiting on this attempt. An
             # abandoned (timed-out) body that finishes late must not plant
@@ -151,7 +145,7 @@ def execute_cell(
             if journal is not None and not token.cancelled:
                 with telemetry.span("cell.checkpoint", cell=cell_id):
                     journal.save_cell(
-                        spec_now,
+                        spec,
                         run,
                         attempts=attempt_now,
                         abandoned=lambda: token.cancelled,
@@ -173,13 +167,9 @@ def execute_cell(
                     error=str(exc),
                 )
             if attempt < policy.attempts:
-                if isinstance(exc, NoTestFailuresError):
-                    current = spec.reseeded(attempt)
                 telemetry.count("cell.retries")
                 if journal is not None:
-                    journal.log_event(
-                        "cell_retried", cell=cell_id, next_seed=current.seed
-                    )
+                    journal.log_event("cell_retried", cell=cell_id)
                 continue
             break
         duration = time.perf_counter() - start
@@ -188,19 +178,19 @@ def execute_cell(
                 "cell_completed",
                 cell=cell_id,
                 attempt=attempt,
-                seed=current.seed,
+                seed=spec.seed,
                 duration_s=duration,
                 models=list(run.evaluations),
             )
         return CellOutcome(
-            spec=current, status="ok", run=run, attempts=attempt, duration_s=duration
+            spec=spec, status="ok", run=run, attempts=attempt, duration_s=duration
         )
 
     error_text = "".join(
         traceback.format_exception(type(last_error), last_error, last_error.__traceback__)
     )
     outcome = CellOutcome(
-        spec=current,
+        spec=spec,
         status="failed",
         error=error_text,
         error_type=type(last_error).__name__,
@@ -209,7 +199,7 @@ def execute_cell(
     )
     if journal is not None:
         journal.record_failure(
-            current, error=error_text, error_type=outcome.error_type, attempts=attempt
+            spec, error=error_text, error_type=outcome.error_type, attempts=attempt
         )
     return outcome
 

@@ -1,7 +1,7 @@
 """Deterministic fault injection and the soft per-cell timeout guard.
 
 :class:`FaultInjector` is the test hook the fault-tolerance suite uses to
-kill, slow down or starve specific experiment cells on purpose: the
+kill or slow down specific experiment cells on purpose: the
 injector carries a plan keyed by :attr:`CellSpec.cell_id` and counts its
 trips in ``state_dir`` *files*, so the count survives process boundaries —
 a cell retried in a fresh process-pool worker still sees how many faults
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 #: Recognised fault kinds.
-FAULT_KINDS = ("raise", "sleep", "no-failures")
+FAULT_KINDS = ("raise", "sleep")
 
 
 class InjectedFault(RuntimeError):
@@ -43,10 +43,7 @@ class FaultSpec:
 
     * ``"raise"`` — raise :class:`InjectedFault` (simulates a crashed cell);
     * ``"sleep"`` — stall for ``delay`` seconds (simulates a straggler, for
-      exercising the soft timeout);
-    * ``"no-failures"`` — raise the experiment's
-      :class:`~repro.eval.experiment.NoTestFailuresError` (simulates the
-      known degenerate-region mode that the reseeded retry handles).
+      exercising the soft timeout).
 
     ``times`` bounds how many attempts the fault affects; after that the
     cell runs clean, which is what lets ``on_error="retry"`` tests converge.
@@ -104,10 +101,6 @@ class FaultInjector:
         if spec.kind == "sleep":
             time.sleep(spec.delay)
             return
-        if spec.kind == "no-failures":
-            from ..eval.experiment import NoTestFailuresError
-
-            raise NoTestFailuresError(f"{spec.message} (cell {cell_id})")
         raise InjectedFault(f"{spec.message} (cell {cell_id})")
 
     def reset(self) -> None:

@@ -9,16 +9,10 @@ them, so a resumed run can prove it is re-assembling the same grid.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..features.builder import FeatureConfig
-
-#: Deterministic offset for the reseeded-region retry fallback (the known
-#: "no test-year failures" failure mode): attempt ``a`` on a cell with base
-#: seed ``s`` retries with ``(s or 0) + RESEED_OFFSET + a``.
-RESEED_OFFSET = 50021
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -68,11 +62,3 @@ class CellSpec:
                 else None
             ),
         }
-
-    def with_seed(self, seed: int | None) -> "CellSpec":
-        """Copy of this spec pointing at a differently seeded region."""
-        return replace(self, seed=seed)
-
-    def reseeded(self, attempt: int) -> "CellSpec":
-        """The deterministic retry spec for the no-test-failures fallback."""
-        return self.with_seed((self.seed or 0) + RESEED_OFFSET + attempt)

@@ -11,6 +11,13 @@ Fitting profiles the shape ``β``: for a fixed β the model is a Poisson GLM
 with offset ``log(b^β − a^β)``, solved exactly by IRLS; the outer 1-D
 problem over β is solved by golden-section search on the profiled
 likelihood.
+
+A unit's covariates do not change between its windows, so the GLM never
+needs one row per window. Per unit it sees the failure total ``Y_i`` and
+the summed exposure ``E_i = Σ_j (b_ij^β − a_ij^β)``: the score equations
+and Hessian of the stacked Poisson likelihood are the same sums. The
+stacked log-likelihood is the per-unit one plus ``Σ y_ij log e_ij −
+Σ_i Y_i log E_i``, which only failing windows contribute to.
 """
 
 from __future__ import annotations
@@ -33,9 +40,10 @@ def _weibull_exposure(age_start: np.ndarray, age_end: np.ndarray, shape: float) 
 class WeibullNHPP:
     """Power-law NHPP with multiplicative covariates.
 
-    Training data is one row per *pipe-year of exposure*: the failure count
-    in that window, the pipe's age at the window start and end, and its
-    covariates.
+    Training data is one row per *unit*: its covariates, and its failure
+    counts and ages at the start and end of each exposure window, shaped
+    (units × windows). One-dimensional counts and ages are one window per
+    unit.
     """
 
     l2: float = 1e-4
@@ -51,18 +59,29 @@ class WeibullNHPP:
         age_end: np.ndarray,
     ) -> "WeibullNHPP":
         X = np.asarray(X, dtype=float)
-        counts = np.asarray(counts, dtype=float).ravel()
-        age_start = np.asarray(age_start, dtype=float).ravel()
-        age_end = np.asarray(age_end, dtype=float).ravel()
-        if not (len(counts) == len(age_start) == len(age_end) == X.shape[0]):
+        counts, age_start, age_end = (
+            np.asarray(v, dtype=float) for v in (counts, age_start, age_end)
+        )
+        if counts.ndim == 1:  # one window per unit
+            counts, age_start, age_end = counts[:, None], age_start[:, None], age_end[:, None]
+        if not (counts.shape == age_start.shape == age_end.shape == (X.shape[0], counts.shape[1])):
             raise ValueError("X, counts and age windows must align")
+        totals = counts.sum(axis=1)
+        failing = counts > 0
+        failing_counts = counts[failing]
 
         def profiled_negloglik(shape: float) -> tuple[float, PoissonRegression]:
             exposure = _weibull_exposure(age_start, age_end, shape)
-            glm = PoissonRegression(l2=self.l2).fit(X, counts, exposure=exposure)
-            mu = glm.predict_rate(X, exposure=exposure)
-            mu = np.maximum(mu, 1e-300)
-            ll = float(counts @ np.log(mu) - mu.sum())
+            # Summed row by row, not telescoped: each window's exposure is
+            # floored on its own (windows before a unit was laid).
+            unit_exposure = exposure.sum(axis=1)
+            glm = PoissonRegression(l2=self.l2).fit(X, totals, exposure=unit_exposure)
+            rate = glm.predict_rate(X)
+            ll = float(
+                failing_counts @ np.log(exposure[failing])
+                + totals @ np.log(rate)
+                - unit_exposure @ rate
+            )
             return -ll, glm
 
         # Golden-section search over the shape.

@@ -1,11 +1,15 @@
-"""Reference samplers for the equivalence tests.
+"""Reference samplers and fits for the equivalence tests.
 
-These are the straightforward per-step loops the production samplers
-replaced: DPMHBP's CRP scan scores each segment's candidates with its own
-matrix–vector product and draws its Gumbel noise one step at a time, and
-the Pegasos loops difference one pair (or read one example) per step and
-take the norm with ``np.linalg.norm``. The production code must reproduce
-their outputs byte for byte; they live here only as the yardstick.
+These are the straightforward loops the production code replaced:
+DPMHBP's CRP scan scores each segment's candidates with its own
+matrix–vector product and draws its Gumbel noise one step at a time; the
+Pegasos loops difference one pair (or read one example) per step, shrink
+every weight each step and take the norm with ``np.linalg.norm``; HBP
+takes one rate step per group, summing over the group's members; and the
+Weibull NHPP fits one stacked row per unit and window. The production
+code must reproduce DPMHBP, HBP and ``LinearSVM`` byte for byte, RankSVM
+to ``rtol=1e-12`` and the Weibull fit to the tolerances its test states;
+they live here only as the yardstick.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ import math
 import numpy as np
 from scipy.special import betaln
 
-from repro.bayes.distributions import beta_logpdf
+from repro.bayes.distributions import beta_binomial_logmarginal, beta_logpdf
 from repro.core.dpmhbp import DPMHBP, DPMHBPPosterior
+from repro.core.hbp import HBPPosterior
 from repro.inference.metropolis import AdaptiveScale, metropolis_probability_step
+from repro.ml.glm import PoissonRegression
+from repro.survival.weibull import WeibullNHPP, _weibull_exposure
 
 
 def _betaln_scalar(a: float, b: float) -> float:
@@ -333,3 +340,112 @@ def reference_linear_svm(
             if norm > radius:
                 w *= radius / norm
     return w, b
+
+
+def reference_weibull_fit(
+    X: np.ndarray, counts: np.ndarray, age_start: np.ndarray, age_end: np.ndarray, l2: float
+) -> tuple[float, PoissonRegression]:
+    """Weibull NHPP on stacked unit-window rows: covariates repeated per window.
+
+    ``counts`` and the ages are (units × windows). Returns the fitted
+    shape and the GLM of the profiled fit.
+    """
+    n_windows = counts.shape[1]
+    X = np.repeat(np.asarray(X, dtype=float), n_windows, axis=0)
+    counts = np.asarray(counts, dtype=float).ravel()
+    age_start = np.asarray(age_start, dtype=float).ravel()
+    age_end = np.asarray(age_end, dtype=float).ravel()
+
+    def profiled_negloglik(shape: float) -> tuple[float, PoissonRegression]:
+        exposure = _weibull_exposure(age_start, age_end, shape)
+        glm = PoissonRegression(l2=l2).fit(X, counts, exposure=exposure)
+        mu = np.maximum(glm.predict_rate(X, exposure=exposure), 1e-300)
+        return -float(counts @ np.log(mu) - mu.sum()), glm
+
+    lo, hi = WeibullNHPP.shape_bounds
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, glm_c = profiled_negloglik(c)
+    fd, glm_d = profiled_negloglik(d)
+    for _ in range(40):
+        if fc < fd:
+            hi, d, fd, glm_d = d, c, fc, glm_c
+            c = hi - invphi * (hi - lo)
+            fc, glm_c = profiled_negloglik(c)
+        else:
+            lo, c, fc, glm_c = c, d, fd, glm_d
+            d = lo + invphi * (hi - lo)
+            fd, glm_d = profiled_negloglik(d)
+        if hi - lo < 1e-4:
+            break
+    return (c, glm_c) if fc < fd else (d, glm_d)
+
+
+def reference_fit_hbp(
+    failures: np.ndarray,
+    groups: np.ndarray,
+    q0: float = 0.02,
+    c0: float = 4.0,
+    c_group: float = 30.0,
+    n_sweeps: int = 250,
+    burn_in: int = 100,
+    seed: int = 0,
+) -> HBPPosterior:
+    """HBP with one Metropolis step per group, each target summing its members."""
+    failures = np.asarray(failures)
+    groups = np.asarray(groups, dtype=np.int64)
+    n_units, n_years = failures.shape
+    n_groups = int(groups.max()) + 1
+    s = failures.sum(axis=1).astype(float)
+    m = float(n_years)
+
+    rng = np.random.default_rng(seed)
+    q = np.full(n_groups, q0)
+    scales = [AdaptiveScale() for _ in range(n_groups)]
+    member_s = [s[groups == k] for k in range(n_groups)]
+
+    pi_acc = np.zeros(n_units)
+    q_acc = np.zeros(n_groups)
+    q_trace: list[np.ndarray] = []
+    n_accept = 0
+    n_prop = 0
+    kept = 0
+    for sweep in range(n_sweeps):
+        for k in range(n_groups):
+            sk = member_s[k]
+
+            def log_target(qk: float, sk=sk) -> float:
+                prior = float(beta_logpdf(qk, c0 * q0, c0 * (1.0 - q0)))
+                lik = float(
+                    np.sum(
+                        beta_binomial_logmarginal(sk, m, c_group * qk, c_group * (1.0 - qk))
+                    )
+                )
+                return prior + lik
+
+            q[k], accepted = metropolis_probability_step(
+                q[k], log_target, scales[k].scale, rng
+            )
+            scales[k].update(accepted)
+            n_prop += 1
+            n_accept += int(accepted)
+            if sweep == burn_in:
+                scales[k].freeze()
+
+        a = c_group * q[groups] + s
+        b = c_group * (1.0 - q[groups]) + m - s
+        pi = rng.beta(a, b)
+
+        if sweep >= burn_in:
+            pi_acc += pi
+            q_acc += q
+            q_trace.append(q.copy())
+            kept += 1
+
+    return HBPPosterior(
+        pi_mean=pi_acc / kept,
+        q_mean=q_acc / kept,
+        q_trace=np.asarray(q_trace),
+        accept_rate=n_accept / max(n_prop, 1),
+    )

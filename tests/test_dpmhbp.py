@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.dpmhbp import DPMHBP, DPMHBPModel, _metropolis_probability_steps
+from repro.core.dpmhbp import DPMHBP, DPMHBPModel
 from repro.core.ranking.objective import empirical_auc
-from repro.inference.metropolis import metropolis_probability_step
+from repro.inference.metropolis import metropolis_probability_step, metropolis_probability_steps
 
 
 def clustered_data(rng, n_per=120, years=11):
@@ -159,7 +159,7 @@ class TestBatchedRateSteps:
             )
             for q, scale, c in zip(current, scales, centres)
         ]
-        new_p, accepted = _metropolis_probability_steps(current, batch_target, scales, rng_b)
+        new_p, accepted = metropolis_probability_steps(current, batch_target, scales, rng_b)
         assert new_p == [p for p, _ in want]
         assert accepted == [ok for _, ok in want]
         assert rng_a.random() == rng_b.random()

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.survival_models import CoxPHModel, TimeRateModel
+from repro.eval import experiment
 from repro.eval.experiment import (
+    REGION_DRAWS,
     ComparisonResult,
     NoTestFailuresError,
+    cell_region_data,
     evaluate_models,
     prepare_region_data,
     run_comparison,
 )
 from repro.network.pipe import PipeClass
+from repro.runs import CellSpec
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +74,40 @@ class TestPrepareRegionData:
         all_pipes = prepare_region_data("A", scale=0.05, seed=9, pipe_class=None)
         cwm = prepare_region_data("A", scale=0.05, seed=9, pipe_class=PipeClass.CWM)
         assert cwm.n_pipes < all_pipes.n_pipes
+
+
+class TestCellRegion:
+    def test_region_with_failures_keeps_its_seed(self):
+        seed, data = cell_region_data(CellSpec(region="A", repeat=1, seed=9, scale=0.05))
+        assert seed == 9
+        assert data is prepare_region_data("A", seed=9, scale=0.05)
+
+    def test_empty_region_draws_the_next_seed(self):
+        # Seed 679458 at scale 0.05 and its next two seeds on the chain,
+        # 729480 and 729481, all have no region-A test-year failure.
+        spec = CellSpec(region="A", repeat=1, seed=679458, scale=0.05)
+        for seed in (679458, 729480, 729481):
+            assert prepare_region_data("A", seed=seed, scale=0.05).pipe_fail_test.sum() == 0
+        seed, data = cell_region_data(spec)
+        assert seed > 729481 and (seed - 729481) < REGION_DRAWS
+        assert data.pipe_fail_test.sum() > 0
+        assert cell_region_data(spec)[0] == seed
+
+    def test_gives_up_after_the_cap(self, monkeypatch, small_run):
+        from dataclasses import replace
+
+        _, data = small_run
+        dead = replace(data, pipe_fail_test=np.zeros(data.n_pipes))
+        seeds = []
+
+        def prepare(region, seed=None, **kwargs):
+            seeds.append(seed)
+            return dead
+
+        monkeypatch.setattr(experiment, "prepare_region_data", prepare)
+        with pytest.raises(NoTestFailuresError, match="increase the scale"):
+            cell_region_data(CellSpec(region="A", repeat=1, seed=100, scale=0.01))
+        assert seeds == [100] + [100 + 50021 + i for i in range(1, REGION_DRAWS)]
 
 
 class TestRunComparison:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.ranking.objective import (
     empirical_auc,
+    midranks,
     sigmoid_auc,
     top_fraction_hit_rate,
 )
@@ -75,6 +76,24 @@ class TestEmpiricalAUC:
         if labels.sum() in (0, n):
             labels[0] = 1.0 - labels[0]
         assert empirical_auc(scores, labels) + empirical_auc(scores, 1 - labels) == pytest.approx(1.0)
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=2, max_size=200),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_midrank_sum(self, values, seed):
+        """Byte-equal to the rank sum over a full midrank ranking, heavy ties included."""
+        rng = np.random.default_rng(seed)
+        scores = np.asarray(values, dtype=float) * 0.25
+        n = scores.size
+        labels = (rng.random(n) < rng.random()).astype(float)
+        labels[0], labels[-1] = 1.0, 0.0
+        pos = labels == 1.0
+        n_pos, n_neg = int(pos.sum()), int(n - pos.sum())
+        rank_sum = float(midranks(scores)[pos].sum())
+        want = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert np.float64(empirical_auc(scores, labels)).tobytes() == np.float64(want).tobytes()
 
 
 class TestSigmoidAUC:

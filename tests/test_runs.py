@@ -17,7 +17,6 @@ import pytest
 from repro.core.survival_models import CoxPHModel, TimeRateModel
 from repro.eval.experiment import (
     ModelEvaluation,
-    NoTestFailuresError,
     RegionRun,
     run_comparison,
 )
@@ -91,12 +90,6 @@ def assert_results_identical(a, b):
 class TestCellSpec:
     def test_cell_id(self):
         assert CellSpec(region="B", repeat=7).cell_id == "B-r007"
-
-    def test_reseeded_is_deterministic_and_keeps_identity(self):
-        spec = CellSpec(region="A", repeat=1, seed=11)
-        assert spec.reseeded(1) == spec.reseeded(1)
-        assert spec.reseeded(1).seed != spec.seed
-        assert spec.reseeded(1).cell_id == spec.cell_id
 
     def test_identity_is_json_able(self):
         spec = CellSpec(region="A", repeat=0, models_factory=_light_models)
@@ -227,13 +220,6 @@ class TestFaultInjector:
             injector.trip("A-r000")
         injector.reset()
         with pytest.raises(InjectedFault):
-            injector.trip("A-r000")
-
-    def test_no_failures_kind(self, tmp_path):
-        injector = FaultInjector(
-            state_dir=str(tmp_path), plan={"A-r000": FaultSpec(kind="no-failures")}
-        )
-        with pytest.raises(NoTestFailuresError):
             injector.trip("A-r000")
 
     def test_invalid_specs_rejected(self):
@@ -392,19 +378,6 @@ class TestGridFaultTolerance:
         assert len(result.runs["A"]) == 2
         assert [o.spec.cell_id for o in result.failures] == ["A-r001"]
         assert result.failures[0].error_type == "InjectedFault"
-
-    def test_retry_reseeds_degenerate_region(self, tmp_path):
-        injector = FaultInjector(
-            state_dir=str(tmp_path / "faults"),
-            plan={"A-r001": FaultSpec(kind="no-failures", times=1)},
-        )
-        result = _grid(
-            run_dir=tmp_path / "run", fault_injector=injector, on_error="retry"
-        )
-        assert not result.failures
-        # The degenerate cell reran on a deterministically derived seed.
-        original = CellSpec(region="A", repeat=1, seed=1001)
-        assert result.runs["A"][1].seed == original.reseeded(1).seed
 
     def test_soft_timeout_with_retry(self, tmp_path):
         injector = FaultInjector(

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.ranking.objective import empirical_auc
+from repro.core.survival_models import _pipe_year_windows
 from repro.survival.weibull import WeibullNHPP, _weibull_exposure
+
+from ._reference_samplers import reference_weibull_fit
 
 
 class TestExposure:
@@ -85,3 +89,40 @@ class TestPrediction:
     def test_use_before_fit(self):
         with pytest.raises(RuntimeError):
             WeibullNHPP().expected_failures(np.ones((1, 1)), np.ones(1), np.ones(1) + 1)
+
+
+class TestPerUnitTotals:
+    """The per-unit fit against the stacked one-row-per-window fit."""
+
+    def test_matches_stacked_fit(self, small_model_data):
+        md = small_model_data
+        counts, ages = _pipe_year_windows(md)
+        want_shape, want_glm = reference_weibull_fit(md.X_pipe, counts, ages, ages + 1.0, 1e-3)
+        got = WeibullNHPP(l2=1e-3).fit(md.X_pipe, counts, ages, ages + 1.0)
+        # The golden-section search stops at a 1e-4 bracket.
+        assert got.shape_ == pytest.approx(want_shape, abs=1e-4)
+        # Same IRLS on the same sums, in another order: rounding only.
+        np.testing.assert_allclose(got.glm_.coef_, want_glm.coef_, rtol=1e-6, atol=1e-9)
+        test_age = md.pipe_ages(md.test_year)
+        want = WeibullNHPP(l2=1e-3)
+        want.shape_, want.glm_ = want_shape, want_glm
+        assert empirical_auc(
+            got.expected_failures(md.X_pipe, test_age, test_age + 1.0), md.pipe_fail_test
+        ) == empirical_auc(
+            want.expected_failures(md.X_pipe, test_age, test_age + 1.0), md.pipe_fail_test
+        )
+
+    def test_rows_are_one_window_each(self, rng):
+        ages = rng.uniform(1.0, 40.0, 200)
+        x = rng.standard_normal((200, 2))
+        counts = rng.poisson(0.05, 200)
+        flat = WeibullNHPP().fit(x, counts, ages, ages + 1.0)
+        column = WeibullNHPP().fit(x, counts[:, None], ages[:, None], ages[:, None] + 1.0)
+        assert flat.shape_ == column.shape_
+        assert flat.glm_.coef_.tobytes() == column.glm_.coef_.tobytes()
+
+    def test_window_shapes_must_agree(self):
+        with pytest.raises(ValueError):
+            WeibullNHPP().fit(np.ones((3, 1)), np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            WeibullNHPP().fit(np.ones((3, 1)), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
