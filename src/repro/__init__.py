@@ -49,7 +49,7 @@ from .eval import (
 )
 from .features import FeatureConfig, ModelData, build_model_data
 from .physical import PhysicalConditionModel
-from .runs import CellSpec, FaultInjector, FaultSpec, RunJournal, RunPolicy
+from .runs import CellSpec, RunJournal, RunPolicy
 
 __version__ = "1.1.0"
 
@@ -79,8 +79,6 @@ __all__ = [
     "build_model_data",
     "PhysicalConditionModel",
     "CellSpec",
-    "FaultInjector",
-    "FaultSpec",
     "RunJournal",
     "RunPolicy",
     "__version__",

@@ -5,11 +5,15 @@ Commands
 ``summary``    regenerate the Table 18.1 data summary for the synthetic regions
 ``compare``    fit the full model line-up on one region and print the AUC table
 ``grid``       the repeated Table 18.3/18.4 grid — journalled, resumable
-``status``     progress/timing/failure report over a journalled run directory
+``status``     progress/timing/failure report over a journalled run directory,
+               with each cell's worst convergence verdict
 ``doctor``     convergence/drift/failure health check over a run directory
                (exit 0 healthy / 1 warnings / 2 failures; ``--json`` for CI)
 ``riskmap``    fit DPMHBP and write a Fig. 18.9-style SVG risk map
 ``plan``       produce a budget-constrained inspection plan with economics
+
+``status`` and ``doctor`` render one run report
+(:func:`repro.monitor.run_report`), so they agree on every cell.
 
 Every command also takes ``--trace [PATH]`` (see :mod:`repro.telemetry`):
 spans, counters and gauges from the instrumented hot paths are collected
@@ -102,17 +106,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from .monitor.report import format_status, run_report
     from .runs.journal import JournalError
-    from .telemetry import format_status, run_status
 
     try:
-        status = run_status(args.run_dir_pos)
+        report = run_report(args.run_dir_pos)
     except JournalError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(format_status(status, verbose=args.verbose))
-    counts = status.counts()
-    return 1 if counts["failed"] and status.finished else 0
+    print(format_status(report, verbose=args.verbose))
+    return 1 if report.counts()["failed"] and report.finished else 0
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:

@@ -28,7 +28,6 @@ from ..monitor.health import HealthReport
 from ..network.pipe import PipeClass
 from ..parallel import cached_model_data, resolve_executor, safe_parallel_map
 from ..runs.engine import CellExecutionError, CellOutcome, RunPolicy, execute_cell
-from ..runs.faults import FaultInjector
 from ..runs.journal import RunJournal
 from ..runs.spec import CellSpec
 from .metrics import DetectionCurve, auc_at_budget, detection_curve, empirical_auc, permyriad
@@ -318,7 +317,6 @@ def run_comparison(
     on_error: str = "raise",
     retries: int = 2,
     cell_timeout: float | None = None,
-    fault_injector: FaultInjector | None = None,
 ) -> ComparisonResult:
     """The full Table 18.3/18.4 experiment — fault-tolerant and resumable.
 
@@ -337,7 +335,8 @@ def run_comparison(
     * ``run_dir`` — journal the run there: a config-fingerprinted manifest,
       a JSONL event log, and an atomic checkpoint per completed cell,
       written from inside the worker so a killed process loses only its
-      in-flight cells.
+      in-flight cells. :func:`repro.monitor.run_report` (``repro status``,
+      ``repro doctor``) reads the journal back.
     * ``resume`` — continue a journalled run: finished cells are loaded
       from their checkpoints *bit-identically* (corrupt ones recompute);
       the configuration must fingerprint-match the manifest.
@@ -347,17 +346,10 @@ def run_comparison(
       ``retries`` extra attempts with the same seed, then skips.
     * ``cell_timeout`` — soft per-cell seconds budget; an overrunning cell
       counts as failed under ``on_error``.
-    * ``fault_injector`` — test hook to kill/stall chosen cells
-      (:class:`repro.runs.FaultInjector`).
     """
     if n_repeats < 1:
         raise ValueError("need at least one repeat")
-    policy = RunPolicy(
-        on_error=on_error,
-        retries=retries,
-        cell_timeout=cell_timeout,
-        fault_injector=fault_injector,
-    )
+    policy = RunPolicy(on_error=on_error, retries=retries, cell_timeout=cell_timeout)
     specs = [
         CellSpec(
             region=region,

@@ -13,34 +13,54 @@ exit code (0 healthy / 1 warnings / 2 failures):
   retry counts pulled from the journal.
 
 ``nan`` diagnostics stay "undiagnosable": they are printed but never
-escalate the verdict. The doctor reads only the journal, so its output
-for a finished run is the same before and after a ``--resume``.
+escalate the verdict. The doctor renders the same
+:class:`~repro.monitor.report.RunReport` as ``repro status``, read only
+from the journal, so its output for a finished run is the same before
+and after a ``--resume``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .. import telemetry
 from .drift import DEFAULT_BAND, DriftReport, compare_to_baseline, load_baseline, metrics_snapshot
 from .health import HealthReport, VERDICT_CODES
+from .report import CellReport, RunReport, run_report
 
-#: Verdict → process exit code (the doctor's contract with CI).
+#: Verdict → severity rank, which is also the process exit code (the
+#: doctor's contract with CI).
 EXIT_CODES = {"pass": 0, "undiagnosable": 0, "warn": 1, "fail": 2}
 
 
 @dataclass
 class DoctorReport:
-    """Everything ``repro doctor`` found, plus the folded verdict."""
+    """The run report ``repro doctor`` renders, plus drift and the folded verdict."""
 
-    run_dir: str
+    run: RunReport
     verdict: str = "pass"
-    health: dict[str, HealthReport] = field(default_factory=dict)
     drift: DriftReport | None = None
-    cells_completed: int = 0
-    cells_failed: dict[str, dict] = field(default_factory=dict)
-    retries: int = 0
+
+    @property
+    def run_dir(self) -> str:
+        return self.run.run_dir
+
+    @property
+    def health(self) -> dict[str, HealthReport]:
+        return self.run.health
+
+    @property
+    def cells_completed(self) -> int:
+        return self.run.counts()["done"]
+
+    @property
+    def cells_failed(self) -> dict[str, CellReport]:
+        return {c.cell_id: c for c in self.run.cells if c.state == "failed"}
+
+    @property
+    def retries(self) -> int:
+        return sum(self.run.retries.values())
 
     @property
     def exit_code(self) -> int:
@@ -55,25 +75,22 @@ class DoctorReport:
             "drift": self.drift.to_json() if self.drift is not None else None,
             "cells_completed": self.cells_completed,
             "cells_failed": {
-                cell: {
-                    "error_type": record.get("error_type"),
-                    "attempts": record.get("attempts"),
-                }
-                for cell, record in self.cells_failed.items()
+                cell_id: {"error_type": cell.error_type, "attempts": cell.attempts}
+                for cell_id, cell in self.cells_failed.items()
             },
             "retries": self.retries,
         }
 
     def format(self) -> str:
+        cells_failed = self.cells_failed
         lines = [f"run: {self.run_dir}"]
         lines.append(
             f"cells: {self.cells_completed} completed, "
-            f"{len(self.cells_failed)} failed, {self.retries} retried attempt(s)"
+            f"{len(cells_failed)} failed, {self.retries} retried attempt(s)"
         )
-        for cell, record in sorted(self.cells_failed.items()):
+        for cell_id, cell in sorted(cells_failed.items()):
             lines.append(
-                f"FAILED {cell}: {record.get('error_type', '?')} "
-                f"after {record.get('attempts', '?')} attempt(s)"
+                f"FAILED {cell_id}: {cell.error_type or '?'} after {cell.attempts} attempt(s)"
             )
         if self.health:
             lines.append("")
@@ -104,21 +121,7 @@ def diagnose(
     published as gauges (``repro_chain_rhat``, ``repro_doctor_health``,
     …) so ``--metrics-out`` exports a scrape-ready snapshot.
     """
-    from ..runs.journal import RunJournal
-
-    run_dir = Path(run_dir)
-    journal = RunJournal.open(run_dir)
-    report = DoctorReport(run_dir=str(run_dir))
-    report.cells_completed = len(journal.completed_cells())
-    report.cells_failed = journal.failed_cells()
-    report.retries = sum(
-        1 for event in journal.events() if event.get("event") == "cell_retried"
-    )
-    report.health = {
-        f"{cell}/{model}": health
-        for cell, models in journal.cell_health().items()
-        for model, health in models.items()
-    }
+    report = DoctorReport(run=run_report(run_dir))
     if baseline is not None:
         report.drift = compare_to_baseline(
             load_baseline(baseline), metrics_snapshot(run_dir), band=band
@@ -127,9 +130,8 @@ def diagnose(
     # Fold: failures dominate, then chain-health, then drift warnings.
     # A run with no health report to fold is a warning, not a pass.
     level = 0 if report.health else 1
-    rank = {"pass": 0, "undiagnosable": 0, "warn": 1, "fail": 2}
     for health in report.health.values():
-        level = max(level, rank.get(health.verdict, 1))
+        level = max(level, EXIT_CODES.get(health.verdict, 1))
     if report.drift is not None and not report.drift.ok:
         level = max(level, 1)
     if report.cells_failed:

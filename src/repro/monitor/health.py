@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -206,6 +206,18 @@ class HealthReport:
         return "\n".join(lines)
 
 
+def fold_verdicts(verdicts: Iterable[str]) -> str:
+    """Worst diagnosable verdict; "undiagnosable" only when nothing is."""
+    folded = "undiagnosable"
+    rank = {"undiagnosable": -1, "pass": 0, "warn": 1, "fail": 2}
+    level = -1
+    for verdict in verdicts:
+        if rank.get(verdict, -1) > level:
+            level = rank[verdict]
+            folded = verdict
+    return folded
+
+
 def _classify(
     name: str,
     ess: float,
@@ -330,7 +342,7 @@ class ChainHealth:
                 reasons=reasons,
             )
 
-        verdict = self._fold_verdicts(q.verdict for q in quantities.values())
+        verdict = fold_verdicts(q.verdict for q in quantities.values())
         report = HealthReport(
             quantities=quantities, thresholds=self.thresholds, verdict=verdict
         )
@@ -356,15 +368,3 @@ class ChainHealth:
             if np.isfinite(z) and (not np.isfinite(worst) or abs(z) > abs(worst)):
                 worst = z
         return worst
-
-    @staticmethod
-    def _fold_verdicts(verdicts) -> str:
-        """Worst diagnosable verdict; "undiagnosable" only when nothing is."""
-        folded = "undiagnosable"
-        rank = {"undiagnosable": -1, "pass": 0, "warn": 1, "fail": 2}
-        level = -1
-        for verdict in verdicts:
-            if rank.get(verdict, -1) > level:
-                level = rank[verdict]
-                folded = verdict
-        return folded

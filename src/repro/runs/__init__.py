@@ -8,13 +8,13 @@ atomic per-cell checkpoint for every completed (region, repeat) cell. A
 re-invocation with ``resume=<run_dir>`` skips finished cells
 *bit-identically*; failing cells are isolated by :class:`RunPolicy`
 (``on_error="raise"/"skip"/"retry"``, bounded same-seed retries, soft
-per-cell timeouts); and :class:`FaultInjector` lets tests kill or stall chosen
-cells on purpose.
+per-cell timeouts).
 
 Layering: this package owns identity (:class:`CellSpec`), persistence
 (:class:`RunJournal`), policy (:class:`RunPolicy`/:func:`execute_cell`)
-and faults; the experiment protocol itself stays in
-:mod:`repro.eval.experiment`.
+and the timeout guard; the experiment protocol itself stays in
+:mod:`repro.eval.experiment`, and reading a run back is
+:mod:`repro.monitor`'s job (:func:`repro.monitor.run_report`).
 """
 
 from .engine import (
@@ -24,15 +24,7 @@ from .engine import (
     RunPolicy,
     execute_cell,
 )
-from .faults import (
-    FAULT_KINDS,
-    CancelToken,
-    CellTimeoutError,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    call_with_timeout,
-)
+from .faults import CancelToken, CellTimeoutError, call_with_timeout
 from .journal import (
     CellAbandonedError,
     CheckpointCorruptError,
@@ -48,11 +40,7 @@ __all__ = [
     "CellOutcome",
     "RunPolicy",
     "execute_cell",
-    "FAULT_KINDS",
     "CellTimeoutError",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFault",
     "call_with_timeout",
     "CheckpointCorruptError",
     "JournalError",

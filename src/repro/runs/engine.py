@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .. import telemetry
-from .faults import CancelToken, FaultInjector, call_with_timeout
+from .faults import CancelToken, call_with_timeout
 from .journal import RunJournal
 from .spec import CellSpec
 
@@ -50,7 +50,6 @@ class RunPolicy:
     on_error: str = "raise"
     retries: int = 2  # extra attempts per cell when on_error == "retry"
     cell_timeout: float | None = None  # soft, seconds
-    fault_injector: FaultInjector | None = None  # tests only
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_MODES:
@@ -131,10 +130,6 @@ def execute_cell(
             attempt_now: int = attempt,
             token: CancelToken = token,
         ) -> "RegionRun":
-            # The injector trips inside the guarded call so an injected
-            # stall ("sleep" faults) is subject to the soft timeout too.
-            if policy.fault_injector is not None:
-                policy.fault_injector.trip(cell_id)
             with telemetry.span("cell.compute", cell=cell_id, attempt=attempt_now):
                 run = compute(spec)
             # Worker-side checkpoint (what makes a killed run resumable) —

@@ -1,12 +1,4 @@
-"""Deterministic fault injection and the soft per-cell timeout guard.
-
-:class:`FaultInjector` is the test hook the fault-tolerance suite uses to
-kill or slow down specific experiment cells on purpose: the
-injector carries a plan keyed by :attr:`CellSpec.cell_id` and counts its
-trips in ``state_dir`` *files*, so the count survives process boundaries —
-a cell retried in a fresh process-pool worker still sees how many faults
-it has already absorbed. The injector is inert for every cell not named in
-its plan, and the production path never constructs one.
+"""The soft per-cell timeout guard and its cancellation token.
 
 :func:`call_with_timeout` is the soft per-cell timeout: the cell body runs
 in a daemon thread and the caller gives up waiting after ``timeout``
@@ -18,95 +10,11 @@ waits, not the CPU the straggler burns.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable
-
-#: Recognised fault kinds.
-FAULT_KINDS = ("raise", "sleep")
-
-
-class InjectedFault(RuntimeError):
-    """The deterministic failure a ``kind="raise"`` fault produces."""
 
 
 class CellTimeoutError(RuntimeError):
     """A cell exceeded its soft timeout and was abandoned."""
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One planned fault: what happens and for how many attempts.
-
-    ``kind``:
-
-    * ``"raise"`` — raise :class:`InjectedFault` (simulates a crashed cell);
-    * ``"sleep"`` — stall for ``delay`` seconds (simulates a straggler, for
-      exercising the soft timeout).
-
-    ``times`` bounds how many attempts the fault affects; after that the
-    cell runs clean, which is what lets ``on_error="retry"`` tests converge.
-    """
-
-    kind: str = "raise"
-    times: int = 1
-    delay: float = 0.0
-    message: str = "injected fault"
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"kind must be one of {FAULT_KINDS}, got {self.kind!r}")
-        if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
-
-
-@dataclass(frozen=True)
-class FaultInjector:
-    """File-backed deterministic fault plan for experiment cells.
-
-    Picklable (ships to process-pool workers) and frozen (a plan never
-    mutates mid-run). Trip counts live in ``state_dir/<cell_id>.trips``.
-    """
-
-    state_dir: str
-    plan: dict[str, FaultSpec] = field(default_factory=dict)
-
-    def _count_path(self, cell_id: str) -> Path:
-        return Path(self.state_dir) / f"{cell_id}.trips"
-
-    def trips(self, cell_id: str) -> int:
-        """How many faults this cell has absorbed so far."""
-        path = self._count_path(cell_id)
-        try:
-            return int(path.read_text())
-        except (OSError, ValueError):
-            return 0
-
-    def trip(self, cell_id: str) -> None:
-        """Apply the planned fault for ``cell_id``, if any charge remains.
-
-        Called by the cell executor at the top of every attempt. A cell is
-        only ever executed by one worker at a time, so the read-increment
-        on the count file needs no cross-process lock.
-        """
-        spec = self.plan.get(cell_id)
-        if spec is None:
-            return
-        used = self.trips(cell_id)
-        if used >= spec.times:
-            return
-        Path(self.state_dir).mkdir(parents=True, exist_ok=True)
-        self._count_path(cell_id).write_text(str(used + 1))
-        if spec.kind == "sleep":
-            time.sleep(spec.delay)
-            return
-        raise InjectedFault(f"{spec.message} (cell {cell_id})")
-
-    def reset(self) -> None:
-        """Forget every trip count (fresh test scenario, same plan)."""
-        for path in Path(self.state_dir).glob("*.trips"):
-            path.unlink(missing_ok=True)
 
 
 class CancelToken:

@@ -1,8 +1,8 @@
-"""Zero-dependency observability: spans, counters, gauges, traces, status.
+"""Zero-dependency observability: spans, counters, gauges, traces.
 
 The third leg of the production stool (after the parallel executor and
 the journalled run engine): one consistent instrumentation API threaded
-through inference, parallel fan-out, the cache and the grid engine.
+through inference, parallel fan-out and the grid engine.
 
 * :func:`span` — hierarchical timed spans (``with span("fit"): ...``),
   thread-safe, with per-thread ancestry paths;
@@ -12,9 +12,8 @@ through inference, parallel fan-out, the cache and the grid engine.
   trace (``--trace`` on every CLI subcommand writes it into the run
   journal's directory so traces resume with the run);
 * :mod:`~repro.telemetry.aggregate` — fold a trace back into
-  where-the-time-went tables;
-* :mod:`~repro.telemetry.status` — the ``repro status <run_dir>`` view
-  over a journalled run.
+  where-the-time-went tables (``repro status`` renders them for a
+  journalled run; see :mod:`repro.monitor.report`).
 
 Telemetry is **disabled by default** and the disabled path is a no-op
 recorder (one attribute check per call) — cheap enough that the
@@ -41,6 +40,7 @@ from .prometheus import (
 from .recorder import (
     MAX_RETAINED_SPANS,
     TRACE_ENV,
+    TRACE_NAME,
     SpanRecord,
     TelemetryRecorder,
     configure,
@@ -52,15 +52,12 @@ from .recorder import (
     get_recorder,
     span,
 )
-from .status import TRACE_NAME, CellStatus, RunStatus, format_status, run_status
 
 __all__ = [
     "MAX_RETAINED_SPANS",
     "METRIC_PREFIX",
     "TRACE_ENV",
     "TRACE_NAME",
-    "CellStatus",
-    "RunStatus",
     "SpanRecord",
     "SpanStats",
     "TelemetryRecorder",
@@ -72,14 +69,12 @@ __all__ = [
     "disable",
     "enabled",
     "flush",
-    "format_status",
     "format_trace_report",
     "gauge",
     "get_recorder",
     "read_trace",
     "render_metrics",
     "render_recorder",
-    "run_status",
     "sanitize_metric_name",
     "span",
     "summarize_trace",

@@ -16,7 +16,10 @@ Pins the contracts of :mod:`repro.monitor`:
   comparison with no metric in common grades ``warn``, never ``pass``;
 * ``repro doctor`` folds failures > per-cell chain health > drift into
   exit codes 0/1/2 (no health report at all is a warning), with
-  ``--json`` and ``--metrics-out`` round-tripping.
+  ``--json`` and ``--metrics-out`` round-tripping;
+* ``repro status`` and ``repro doctor`` render one run report: the same
+  cells, failures, retries and health, and a worst-verdict column per cell
+  in status.
 """
 
 import json
@@ -40,8 +43,10 @@ from repro.monitor import (
     compare_run,
     compare_to_baseline,
     diagnose,
+    format_status,
     load_baseline,
     metrics_snapshot,
+    run_report,
     save_baseline,
 )
 from repro.monitor.__main__ import main as monitor_main
@@ -549,6 +554,50 @@ class TestDoctorCLI:
         assert "doctor verdict" in capsys.readouterr().out
         # ... and the flag's enablement was scoped to the command.
         assert not telemetry.enabled()
+
+
+class TestRunReport:
+    """``repro status`` and ``repro doctor`` render one fold of the journal."""
+
+    def test_status_shows_each_cells_worst_verdict(self, tmp_path, capsys):
+        run_dir = _completed_run(tmp_path)
+        marker = run_dir / "cells" / "A-r001.json"
+        record = json.loads(marker.read_text())
+        # A second chain-fitting model whose chains diverged: the cell's
+        # worst verdict is its failing model, whatever the order.
+        diverged = dict(record["models"][0], name="HBP")
+        diverged["health"] = _report(_divergent_chains()).to_json()
+        record["models"].insert(0, diverged)
+        marker.write_text(json.dumps(record))
+
+        report = run_report(run_dir)
+        assert [c.verdict for c in report.cells] == ["pass", "fail"]
+        assert cli_main(["status", str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("cell "))
+        assert lines[header].endswith("  verdict")
+        assert lines[header + 1].startswith("A-r000") and lines[header + 1].endswith("  pass")
+        assert lines[header + 2].startswith("A-r001") and lines[header + 2].endswith("  fail")
+
+    def test_cells_without_health_show_a_dash(self, tmp_path):
+        text = format_status(run_report(_completed_run(tmp_path, health=False)))
+        rows = [line for line in text.splitlines() if line.startswith("A-r")]
+        assert len(rows) == 2 and all(row.endswith("  —") for row in rows)
+
+    def test_doctor_renders_the_status_fold(self, tmp_path):
+        run_dir = _completed_run(tmp_path, fail_one=True)
+        journal = RunJournal.open(run_dir)
+        journal.log_event("cell_retried", cell="A-r001")
+        journal.log_event("cell_retried", cell="A-r001")
+        report = run_report(run_dir)
+        doctor = diagnose(run_dir)
+        assert doctor.run == report
+        assert doctor.retries == sum(report.retries.values()) == 2
+        assert doctor.cells_completed == report.counts()["done"] == 1
+        assert list(doctor.cells_failed) == [
+            c.cell_id for c in report.cells if c.state == "failed"
+        ]
+        assert set(doctor.health) == set(report.health) == {"A-r000/Cox"}
 
 
 def _small_dpmhbp(seed):

@@ -86,7 +86,7 @@ class TestExports:
 
         for name in repro.runs.__all__:
             assert hasattr(repro.runs, name), f"repro.runs.{name} missing"
-        for name in ("CellSpec", "FaultInjector", "RunJournal", "RunPolicy"):
+        for name in ("CellSpec", "RunJournal", "RunPolicy"):
             assert getattr(repro, name) is getattr(repro.runs, name)
 
 

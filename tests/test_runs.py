@@ -4,8 +4,9 @@ The two acceptance properties the suite pins down:
 
 * a grid killed after ≥1 completed cell and resumed via ``resume=`` yields
   a :class:`ComparisonResult` *bit-identical* to an uninterrupted run;
-* a :class:`FaultInjector`-killed cell under ``on_error="retry"`` completes
-  the grid without manual intervention.
+* a cell killed by the test-side :class:`~tests._faults.FaultInjector`
+  under ``on_error="retry"`` completes the grid without manual
+  intervention.
 """
 
 import json
@@ -28,9 +29,6 @@ from repro.runs import (
     CellSpec,
     CellTimeoutError,
     CheckpointCorruptError,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
     JournalError,
     RunJournal,
     RunPolicy,
@@ -39,6 +37,8 @@ from repro.runs import (
     execute_cell,
 )
 
+from ._faults import FaultInjector, FaultSpec, InjectedFault, inject
+
 
 def _light_models(seed):
     """Module-level model factory (picklable; cheap enough for grid tests)."""
@@ -46,9 +46,17 @@ def _light_models(seed):
 
 
 def _grid(**kwargs):
-    """One-region, three-repeat grid with the light line-up."""
+    """One-region, three-repeat serial grid with the light line-up.
+
+    Serial so that a fault injected by monkeypatching the cell function
+    reaches every cell, whatever ``REPRO_EXECUTOR`` says.
+    """
     defaults = dict(
-        regions=("A",), n_repeats=3, scale=0.05, models_factory=_light_models
+        regions=("A",),
+        n_repeats=3,
+        scale=0.05,
+        models_factory=_light_models,
+        executor="serial",
     )
     defaults.update(kwargs)
     return run_comparison(**defaults)
@@ -303,12 +311,11 @@ class TestAbandonedCheckpointGuard:
             state_dir=str(tmp_path / "faults"),
             plan={"A-r000": FaultSpec(kind="sleep", times=5, delay=0.4)},
         )
-        policy = RunPolicy(
-            on_error="skip", cell_timeout=0.05, fault_injector=injector
-        )
+        policy = RunPolicy(on_error="skip", cell_timeout=0.05)
         journal = RunJournal.create(tmp_path / "run", {})
         spec = CellSpec(region="A", repeat=0, seed=0)
-        outcome = execute_cell((spec, _instant_run, str(tmp_path / "run"), policy))
+        compute = injector.wrap(_instant_run)
+        outcome = execute_cell((spec, compute, str(tmp_path / "run"), policy))
         assert not outcome.ok
         assert outcome.error_type == "CellTimeoutError"
         assert "A-r000" in journal.failed_cells()
@@ -324,12 +331,11 @@ class TestAbandonedCheckpointGuard:
             state_dir=str(tmp_path / "faults"),
             plan={"A-r000": FaultSpec(kind="sleep", times=1, delay=0.4)},
         )
-        policy = RunPolicy(
-            on_error="retry", retries=1, cell_timeout=0.05, fault_injector=injector
-        )
+        policy = RunPolicy(on_error="retry", retries=1, cell_timeout=0.05)
         journal = RunJournal.create(tmp_path / "run", {})
         spec = CellSpec(region="A", repeat=0, seed=0)
-        outcome = execute_cell((spec, _instant_run, str(tmp_path / "run"), policy))
+        compute = injector.wrap(_instant_run)
+        outcome = execute_cell((spec, compute, str(tmp_path / "run"), policy))
         assert outcome.ok and outcome.attempts == 2
         assert journal.cell_done("A-r000")
         time.sleep(0.8)  # the first attempt's straggler changes nothing
@@ -342,13 +348,14 @@ class TestGridFaultTolerance:
         """The uninterrupted reference grid."""
         return _grid()
 
-    def test_resume_after_kill_bit_identical(self, tmp_path, clean):
+    def test_resume_after_kill_bit_identical(self, tmp_path, clean, monkeypatch):
         injector = FaultInjector(
             state_dir=str(tmp_path / "faults"),
             plan={"A-r002": FaultSpec(kind="raise", times=1)},
         )
+        inject(monkeypatch, injector)
         with pytest.raises(CellExecutionError, match="A-r002"):
-            _grid(run_dir=tmp_path / "run", fault_injector=injector)
+            _grid(run_dir=tmp_path / "run")
         # The kill landed mid-grid: earlier cells are already checkpointed.
         journal = RunJournal.open(tmp_path / "run")
         assert {"A-r000", "A-r001"} <= journal.completed_cells()
@@ -357,39 +364,36 @@ class TestGridFaultTolerance:
         assert_results_identical(resumed, clean)
         assert journal.completed_cells() == {"A-r000", "A-r001", "A-r002"}
 
-    def test_retry_completes_grid_unattended(self, tmp_path, clean):
+    def test_retry_completes_grid_unattended(self, tmp_path, clean, monkeypatch):
         injector = FaultInjector(
             state_dir=str(tmp_path / "faults"),
             plan={"A-r001": FaultSpec(kind="raise", times=1)},
         )
-        result = _grid(
-            run_dir=tmp_path / "run", fault_injector=injector, on_error="retry"
-        )
+        inject(monkeypatch, injector)
+        result = _grid(run_dir=tmp_path / "run", on_error="retry")
+        assert injector.trips("A-r001") == 1
         assert not result.failures
         assert_results_identical(result, clean)  # transient retry reruns the same seed
 
-    def test_skip_isolates_failures(self, tmp_path):
+    def test_skip_isolates_failures(self, tmp_path, monkeypatch):
         injector = FaultInjector(
             state_dir=str(tmp_path / "faults"),
             plan={"A-r001": FaultSpec(kind="raise", times=99)},
         )
+        inject(monkeypatch, injector)
         with pytest.warns(UserWarning, match="A-r001"):
-            result = _grid(fault_injector=injector, on_error="skip")
+            result = _grid(on_error="skip")
         assert len(result.runs["A"]) == 2
         assert [o.spec.cell_id for o in result.failures] == ["A-r001"]
         assert result.failures[0].error_type == "InjectedFault"
 
-    def test_soft_timeout_with_retry(self, tmp_path):
+    def test_soft_timeout_with_retry(self, tmp_path, monkeypatch):
         injector = FaultInjector(
             state_dir=str(tmp_path / "faults"),
             plan={"A-r000": FaultSpec(kind="sleep", times=1, delay=30.0)},
         )
-        result = _grid(
-            fault_injector=injector,
-            on_error="retry",
-            cell_timeout=4.0,
-            run_dir=tmp_path / "run",
-        )
+        inject(monkeypatch, injector)
+        result = _grid(on_error="retry", cell_timeout=4.0, run_dir=tmp_path / "run")
         assert not result.failures
         events = RunJournal.open(tmp_path / "run").events()
         timeouts = [e for e in events if e.get("error_type") == "CellTimeoutError"]

@@ -8,7 +8,9 @@ Pins the three contracts the instrumentation layer makes:
 * the disabled default is a true no-op — one shared context-manager
   object, nothing recorded (the perf smoke bounds its cost);
 * ``repro status`` renders a faithful report over a journalled run
-  directory, in flight or finished, with or without a trace.
+  directory, in flight, finished or resumed, with or without a trace
+  (the report lives in :mod:`repro.monitor.report`; its trace section is
+  this package's aggregation).
 """
 
 import os
@@ -20,6 +22,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main as cli_main
 from repro.eval.experiment import ModelEvaluation, RegionRun
+from repro.monitor import format_status, run_report
 from repro.parallel import ExecutorConfig, safe_parallel_map
 from repro.runs import CellSpec, JournalError, RunJournal
 from repro.telemetry import (
@@ -29,12 +32,10 @@ from repro.telemetry import (
     aggregate_counters,
     aggregate_gauges,
     aggregate_spans,
-    format_status,
     format_trace_report,
     read_trace,
     render_metrics,
     render_recorder,
-    run_status,
     sanitize_metric_name,
     summarize_trace,
     write_metrics,
@@ -265,7 +266,11 @@ def _tiny_run(seed=0, n=20):
 
 
 def _journalled_run(tmp_path, finished=False):
-    """A hand-built 1×3 run: A-r000 done, A-r002 failed, A-r001 started."""
+    """A hand-built 1×3 run: A-r000 done, A-r002 failed, A-r001 started.
+
+    The events have the engine's shape: every attempt that fails logs
+    ``cell_failed``, and a retry reruns the cell on its own seed.
+    """
     run_dir = tmp_path / "run"
     journal = RunJournal.create(run_dir, {"regions": ["A"], "n_repeats": 3})
     journal.log_event("run_started")
@@ -274,11 +279,19 @@ def _journalled_run(tmp_path, finished=False):
     journal.log_event(
         "cell_completed", cell="A-r000", attempt=1, seed=1000, duration_s=1.25
     )
-    journal.log_event("cell_started", cell="A-r002", attempt=1, seed=1002)
-    journal.log_event("cell_retried", cell="A-r002", next_seed=51002)
-    journal.log_event("cell_started", cell="A-r002", attempt=2, seed=51002)
+    for attempt in (1, 2):
+        if attempt > 1:
+            journal.log_event("cell_retried", cell="A-r002")
+        journal.log_event("cell_started", cell="A-r002", attempt=attempt, seed=1002)
+        journal.log_event(
+            "cell_failed",
+            cell="A-r002",
+            attempt=attempt,
+            error_type="InjectedFault",
+            error="boom",
+        )
     journal.record_failure(
-        CellSpec(region="A", repeat=2, seed=51002),
+        CellSpec(region="A", repeat=2, seed=1002),
         error="Traceback …\nInjectedFault: boom",
         error_type="InjectedFault",
         attempts=2,
@@ -291,7 +304,7 @@ def _journalled_run(tmp_path, finished=False):
 
 class TestRunStatus:
     def test_in_flight_states(self, tmp_path):
-        status = run_status(_journalled_run(tmp_path))
+        status = run_report(_journalled_run(tmp_path))
         assert not status.finished
         assert status.regions == ["A"] and status.n_repeats == 3
         states = {c.cell_id: c.state for c in status.cells}
@@ -299,14 +312,14 @@ class TestRunStatus:
         assert status.counts() == {"done": 1, "failed": 1, "running": 1, "pending": 0}
 
     def test_finished_run_has_no_running_cells(self, tmp_path):
-        status = run_status(_journalled_run(tmp_path, finished=True))
+        status = run_report(_journalled_run(tmp_path, finished=True))
         assert status.finished
         states = {c.cell_id: c.state for c in status.cells}
         # A started-but-unfinished cell in a finished run is pending, not running.
         assert states["A-r001"] == "pending"
 
     def test_cell_detail_from_events_and_failure_records(self, tmp_path):
-        status = run_status(_journalled_run(tmp_path))
+        status = run_report(_journalled_run(tmp_path))
         by_id = {c.cell_id: c for c in status.cells}
         assert by_id["A-r000"].duration_s == pytest.approx(1.25)
         failed = by_id["A-r002"]
@@ -315,7 +328,7 @@ class TestRunStatus:
         assert status.retries == {"A-r002": 1}
 
     def test_format_renders_strip_failures_and_retries(self, tmp_path):
-        text = format_status(run_status(_journalled_run(tmp_path)))
+        text = format_status(run_report(_journalled_run(tmp_path)))
         assert "[in flight]" in text
         assert "[#>x]" in text  # done / running / failed glyph strip
         assert "A-r002: InjectedFault after 2 attempt(s)" in text
@@ -324,8 +337,8 @@ class TestRunStatus:
 
     def test_verbose_lists_untimed_cells(self, tmp_path):
         run_dir = _journalled_run(tmp_path)
-        terse = format_status(run_status(run_dir))
-        verbose = format_status(run_status(run_dir), verbose=True)
+        terse = format_status(run_report(run_dir))
+        verbose = format_status(run_report(run_dir), verbose=True)
         assert "A-r001" not in terse  # untimed and unfailed: strip glyph only
         assert f"{'A-r001':<12s} running" in verbose
 
@@ -336,7 +349,7 @@ class TestRunStatus:
             telemetry.count("dpmhbp.sweeps", 40)
         telemetry.flush()
         telemetry.disable()
-        status = run_status(run_dir)
+        status = run_report(run_dir)
         assert status.trace_summary is not None
         assert status.trace_summary["counters"] == {"dpmhbp.sweeps": 40.0}
         text = format_status(status)
@@ -344,7 +357,7 @@ class TestRunStatus:
 
     def test_not_a_run_directory(self, tmp_path):
         with pytest.raises(JournalError, match="not a run directory"):
-            run_status(tmp_path)
+            run_report(tmp_path)
 
     def test_gauges_only_trace_with_zero_completed_cells(self, tmp_path):
         """Regression: a traced run that completed nothing renders cleanly.
@@ -361,7 +374,7 @@ class TestRunStatus:
         telemetry.flush()
         telemetry.disable()
 
-        status = run_status(run_dir)
+        status = run_report(run_dir)
         assert status.counts() == {"done": 0, "failed": 0, "running": 0, "pending": 2}
         assert status.trace_summary["gauges"] == {"chain.rhat": 1.02}
 
@@ -377,6 +390,33 @@ class TestRunStatus:
         # No timed cell: the duration column shows the placeholder and the
         # total/mean footer is withheld.
         assert "cell time:" not in verbose
+
+    def test_resume_reopens_the_run(self, tmp_path):
+        """A run_started after run_aborted is a resume at work, not a
+        finished run, and its start time is the latest one."""
+        run_dir = tmp_path / "run"
+        journal = RunJournal.create(run_dir, {"regions": ["A"], "n_repeats": 1})
+        journal.log_event("run_started")
+        journal.log_event("cell_started", cell="A-r000", attempt=1, seed=1000)
+        journal.log_event("run_aborted")
+        journal.log_event("run_started")
+        journal.log_event("cell_started", cell="A-r000", attempt=1, seed=1000)
+
+        report = run_report(run_dir)
+        assert not report.finished
+        assert [(c.cell_id, c.state) for c in report.cells] == [("A-r000", "running")]
+        assert report.started_unix == journal.events()[3]["t"]
+        assert "[in flight]" in format_status(report)
+
+    def test_rerun_of_a_failed_cell_is_running(self, tmp_path):
+        """A resume retrying a cell the last run gave up on shows it running."""
+        run_dir = _journalled_run(tmp_path, finished=True)
+        journal = RunJournal.open(run_dir)
+        journal.log_event("run_started")
+        journal.log_event("cell_started", cell="A-r002", attempt=1, seed=1002)
+        states = {c.cell_id: c.state for c in run_report(run_dir).cells}
+        # A-r001 was left unfinished by the aborted run and not restarted yet.
+        assert states == {"A-r000": "done", "A-r001": "pending", "A-r002": "running"}
 
 
 class TestStatusCLI:
