@@ -2,18 +2,15 @@
 
 from .base import FailureModel, ranking_features
 from .dpmhbp import DPMHBP, DPMHBPModel, DPMHBPPosterior
-from .grouping import GROUPINGS, fixed_grouping, segment_grouping
+from .grouping import GROUPINGS, fixed_grouping
 from .hbp import HBPModel, HBPPosterior, fit_hbp
 from .ranking import (
     AUCRankingModel,
-    DifferentialEvolution,
     EvolutionStrategy,
     RankSVM,
     SVMClassifierModel,
     SVMRankingModel,
     empirical_auc,
-    sigmoid_auc,
-    top_fraction_hit_rate,
 )
 from .survival_models import CoxPHModel, TimeRateModel, WeibullModel
 
@@ -25,19 +22,15 @@ __all__ = [
     "DPMHBPPosterior",
     "GROUPINGS",
     "fixed_grouping",
-    "segment_grouping",
     "HBPModel",
     "HBPPosterior",
     "fit_hbp",
     "AUCRankingModel",
-    "DifferentialEvolution",
     "EvolutionStrategy",
     "RankSVM",
     "SVMClassifierModel",
     "SVMRankingModel",
     "empirical_auc",
-    "sigmoid_auc",
-    "top_fraction_hit_rate",
     "CoxPHModel",
     "TimeRateModel",
     "WeibullModel",

@@ -49,8 +49,3 @@ def fixed_grouping(data: ModelData, scheme: str) -> np.ndarray:
         raise ValueError(f"unknown grouping {scheme!r}; choose from {GROUPINGS}")
     _, dense = np.unique(labels, return_inverse=True)
     return dense.astype(np.int64)
-
-
-def segment_grouping(data: ModelData, scheme: str) -> np.ndarray:
-    """Pipe-scheme group labels broadcast to segments."""
-    return fixed_grouping(data, scheme)[data.seg_pipe_idx]

@@ -17,7 +17,7 @@ Inference is Metropolis-within-Gibbs:
   K groups' steps are independent, so one batched step
   (:func:`~repro.inference.metropolis.metropolis_probability_steps`, the
   one DPMHBP's rate block takes) scores every current and proposed rate
-  at once. The ``"slice"`` alternative steps one group at a time.
+  at once.
 
 Covariates modulate the posterior risk multiplicatively, Cox-style, via a
 Poisson GLM factor (``repro.ml.PoissonRegression.covariate_factor``).
@@ -32,7 +32,6 @@ import numpy as np
 from ..bayes.distributions import beta_binomial_logmarginal, beta_logpdf
 from ..features.builder import ModelData
 from ..inference.metropolis import AdaptiveScale, metropolis_probability_steps
-from ..inference.slice import slice_probability_step
 from ..ml.glm import PoissonRegression
 from .base import FailureModel
 from .grouping import fixed_grouping
@@ -57,18 +56,13 @@ def fit_hbp(
     n_sweeps: int = 250,
     burn_in: int = 100,
     seed: int = 0,
-    sampler: str = "metropolis",
 ) -> HBPPosterior:
     """Run the HBP sampler on a binary (units × years) failure matrix.
 
     ``groups`` assigns each unit (pipe or segment) to one of K groups.
     Returns posterior means of the per-unit failure probabilities ``π``
-    and group rates ``q``. ``sampler`` selects the non-conjugate ``q_k``
-    update: adaptive random-walk ``"metropolis"`` (default) or tuning-free
-    ``"slice"`` sampling.
+    and group rates ``q``.
     """
-    if sampler not in ("metropolis", "slice"):
-        raise ValueError(f"unknown sampler {sampler!r}")
     failures = np.asarray(failures)
     if failures.ndim != 2:
         raise ValueError("failures must be (units, years)")
@@ -115,21 +109,14 @@ def fit_hbp(
     kept = 0
     for sweep in range(n_sweeps):
         # Block 1: q_k via logit Metropolis on the collapsed likelihood.
-        if sampler == "slice":
-            for k in range(n_groups):
-                q[k] = slice_probability_step(
-                    q[k], lambda qk, k=k: log_targets(np.array([qk]), [k])[0], rng
-                )
-            accepted = [True] * n_groups  # slice updates always move within the slice
-        else:
-            # The groups' steps are independent, so every current and
-            # proposed rate is scored in one batch.
-            new_q, accepted = metropolis_probability_steps(
-                q, lambda p: log_targets(p, both), [sc.scale for sc in scales], rng
-            )
-            q[:] = new_q
-            for scale, ok in zip(scales, accepted):
-                scale.update(ok)
+        # The groups' steps are independent, so every current and
+        # proposed rate is scored in one batch.
+        new_q, accepted = metropolis_probability_steps(
+            q, lambda p: log_targets(p, both), [sc.scale for sc in scales], rng
+        )
+        q[:] = new_q
+        for scale, ok in zip(scales, accepted):
+            scale.update(ok)
         n_prop += n_groups
         n_accept += sum(accepted)
         if sweep == burn_in:

@@ -1,12 +1,11 @@
-"""Ranking core: AUC objective, evolutionary optimisers, RankSVM, models."""
+"""Ranking core: AUC objective, evolutionary optimiser, RankSVM, models."""
 
-from .evolutionary import DifferentialEvolution, EvolutionStrategy, OptimisationResult
+from .evolutionary import EvolutionStrategy, OptimisationResult
 from .model import AUCRankingModel, SVMClassifierModel, SVMRankingModel, build_snapshots
-from .objective import empirical_auc, midranks, sigmoid_auc, top_fraction_hit_rate
+from .objective import empirical_auc, midranks
 from .ranksvm import RankSVM
 
 __all__ = [
-    "DifferentialEvolution",
     "EvolutionStrategy",
     "OptimisationResult",
     "AUCRankingModel",
@@ -15,7 +14,5 @@ __all__ = [
     "build_snapshots",
     "empirical_auc",
     "midranks",
-    "sigmoid_auc",
-    "top_fraction_hit_rate",
     "RankSVM",
 ]

@@ -1,17 +1,12 @@
-"""Derivative-free optimisers for the exact (non-smooth) AUC objective.
+"""Derivative-free optimiser for the exact (non-smooth) AUC objective.
 
 The empirical AUC is piecewise constant in the ranking function's
 parameters, so the data-mining formulation optimises it directly with
-evolutionary search rather than gradients. Two classic optimisers are
-implemented from scratch:
-
-* :class:`EvolutionStrategy` — a (μ/μ, λ) ES with global intermediate
-  recombination and cumulative step-size-free self-adaptation (each
-  offspring mutates its own log-σ), robust on noisy rank objectives;
-* :class:`DifferentialEvolution` — DE/rand/1/bin, a strong default for
-  low-dimensional continuous black-box problems.
-
-Both maximise ``objective(w)`` over flat parameter vectors.
+evolutionary search rather than gradients: :class:`EvolutionStrategy`,
+a (μ/μ, λ) ES with global intermediate recombination and cumulative
+step-size-free self-adaptation (each offspring mutates its own log-σ),
+robust on noisy rank objectives. It maximises ``objective(w)`` over flat
+parameter vectors.
 """
 
 from __future__ import annotations
@@ -72,42 +67,3 @@ class EvolutionStrategy:
                 best_params = offspring[gen_best].copy()
             history.append(best_value)
         return OptimisationResult(best_params=best_params, best_value=best_value, history=history)
-
-
-@dataclass
-class DifferentialEvolution:
-    """DE/rand/1/bin maximiser with fixed F and CR."""
-
-    population: int = 40
-    generations: int = 80
-    differential_weight: float = 0.7  # F
-    crossover_rate: float = 0.9  # CR
-    init_scale: float = 0.5
-    seed: int = 0
-
-    def maximise(self, objective: Objective, dim: int, x0: np.ndarray | None = None) -> OptimisationResult:
-        if self.population < 4:
-            raise ValueError("DE needs a population of at least 4")
-        rng = np.random.default_rng(self.seed)
-        pop = rng.normal(0.0, self.init_scale, size=(self.population, dim))
-        if x0 is not None:
-            pop[0] = np.asarray(x0, dtype=float)
-        values = np.asarray([objective(ind) for ind in pop])
-        history = [float(values.max())]
-        for _ in range(self.generations):
-            for i in range(self.population):
-                candidates = [j for j in range(self.population) if j != i]
-                a, b, c = rng.choice(candidates, size=3, replace=False)
-                mutant = pop[a] + self.differential_weight * (pop[b] - pop[c])
-                cross = rng.random(dim) < self.crossover_rate
-                cross[rng.integers(dim)] = True  # guarantee one gene crosses
-                trial = np.where(cross, mutant, pop[i])
-                trial_value = objective(trial)
-                if trial_value >= values[i]:
-                    pop[i] = trial
-                    values[i] = trial_value
-            history.append(float(values.max()))
-        best = int(np.argmax(values))
-        return OptimisationResult(
-            best_params=pop[best].copy(), best_value=float(values[best]), history=history
-        )

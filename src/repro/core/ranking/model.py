@@ -10,7 +10,7 @@ scoring 2009 with data to 2008.
 Three concrete models:
 
 * :class:`AUCRankingModel` — linear scoring function, exact-AUC objective,
-  optimised by evolution strategy or differential evolution (the titled
+  optimised by an evolution strategy warm-started from RankSVM (the titled
   paper's "data mining method");
 * :class:`SVMRankingModel` — the convex RankSVM instantiation with a
   linear kernel (the evaluation protocol's "SVM" comparator);
@@ -27,7 +27,7 @@ import numpy as np
 from ...features.builder import ModelData
 from ...ml.svm import LinearSVM
 from ..base import FailureModel, ranking_features
-from .evolutionary import DifferentialEvolution, EvolutionStrategy, OptimisationResult
+from .evolutionary import EvolutionStrategy, OptimisationResult
 from .objective import empirical_auc
 from .ranksvm import RankSVM
 
@@ -59,19 +59,15 @@ def build_snapshots(data: ModelData, n_snapshots: int = 5) -> tuple[np.ndarray, 
 class AUCRankingModel(FailureModel):
     """Linear ranking function trained by direct AUC maximisation.
 
-    ``optimiser`` selects the black-box search: "es" (evolution strategy)
-    or "de" (differential evolution). A RankSVM warm start gives the
-    search a good basin; the evolutionary phase then squeezes the exact,
-    non-smooth objective.
+    A RankSVM warm start gives the evolution strategy a good basin; the
+    evolutionary phase then squeezes the exact, non-smooth objective.
     """
 
     name: str = "AUC-Rank"
-    optimiser: str = "es"
     n_snapshots: int = 5
     generations: int = 60
     population: int = 40
     seed: int = 0
-    warm_start: bool = True
     coef_: np.ndarray | None = None
     result_: OptimisationResult | None = field(default=None, repr=False)
 
@@ -82,25 +78,16 @@ class AUCRankingModel(FailureModel):
         def objective(w: np.ndarray) -> float:
             return empirical_auc(X @ w, y)
 
-        x0 = None
-        if self.warm_start:
-            x0 = RankSVM(seed=self.seed, n_pairs=20_000, epochs=2).fit(X, y).coef_
-            norm = float(np.linalg.norm(x0))
-            if norm > 0:
-                x0 = x0 / norm
-        if self.optimiser == "es":
-            search = EvolutionStrategy(
-                population=self.population,
-                parents=max(2, self.population // 4),
-                generations=self.generations,
-                seed=self.seed,
-            )
-        elif self.optimiser == "de":
-            search = DifferentialEvolution(
-                population=self.population, generations=self.generations, seed=self.seed
-            )
-        else:
-            raise ValueError(f"unknown optimiser {self.optimiser!r}")
+        x0 = RankSVM(seed=self.seed, n_pairs=20_000, epochs=2).fit(X, y).coef_
+        norm = float(np.linalg.norm(x0))
+        if norm > 0:
+            x0 = x0 / norm
+        search = EvolutionStrategy(
+            population=self.population,
+            parents=max(2, self.population // 4),
+            generations=self.generations,
+            seed=self.seed,
+        )
         self.result_ = search.maximise(objective, dim, x0=x0)
         self.coef_ = self.result_.best_params
         return self

@@ -1,4 +1,4 @@
-"""Ranking objectives: the exact AUC criterion and smooth surrogates.
+"""Ranking objective: the exact AUC criterion.
 
 The data-mining formulation treats failure prediction as *ranking*: learn
 a real-valued function ``H`` maximising
@@ -7,9 +7,8 @@ a real-valued function ``H`` maximising
 
 (the empirical AUC; Eq. 18.10 of the evaluation protocol), where ``P`` are
 failure examples and ``N`` non-failures. The indicator makes the objective
-piecewise constant, hence the derivative-free evolutionary optimisers in
-:mod:`.evolutionary`; a sigmoid-smoothed surrogate is provided for
-gradient methods and for tests.
+piecewise constant, hence the derivative-free evolutionary optimiser in
+:mod:`.evolutionary`.
 """
 
 from __future__ import annotations
@@ -67,48 +66,3 @@ def midranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty(n, dtype=float)
     ranks[order] = np.repeat(block_rank, ends - starts)
     return ranks
-
-
-#: Pairwise-delta blocks are streamed at most this many elements at a time,
-#: bounding sigmoid_auc's peak allocation to a few MB however large |P|·|N|.
-_SIGMOID_AUC_BLOCK = 4_000_000
-
-
-def sigmoid_auc(scores: np.ndarray, labels: np.ndarray, sharpness: float = 5.0) -> float:
-    """Smooth AUC surrogate: indicator replaced by ``σ(sharpness·Δ)``.
-
-    Upper-bounds nothing and lower-bounds nothing in general, but its
-    maximiser approaches the exact-AUC maximiser as ``sharpness → ∞``.
-    O(|P|·|N|) time, but the pairwise delta matrix is computed in
-    memory-bounded chunks of positives, so large inputs never allocate
-    the full |P|×|N| array.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float).ravel()
-    pos = scores[labels == 1.0]
-    neg = scores[labels != 1.0]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("need at least one positive and one negative")
-    rows_per_chunk = max(1, _SIGMOID_AUC_BLOCK // neg.size)
-    total = 0.0
-    for start in range(0, pos.size, rows_per_chunk):
-        delta = sharpness * (pos[start : start + rows_per_chunk, None] - neg[None, :])
-        total += float(np.sum(1.0 / (1.0 + np.exp(-np.clip(delta, -50, 50)))))
-    return total / (pos.size * neg.size)
-
-
-def top_fraction_hit_rate(scores: np.ndarray, labels: np.ndarray, fraction: float) -> float:
-    """Share of all positives captured in the top ``fraction`` of scores.
-
-    The budget-constrained criterion behind the 1%-inspection evaluation.
-    """
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float).ravel()
-    n_top = max(1, int(round(fraction * scores.size)))
-    top = np.argsort(-scores, kind="mergesort")[:n_top]
-    total = labels.sum()
-    if total == 0:
-        raise ValueError("no positives to detect")
-    return float(labels[top].sum() / total)

@@ -88,9 +88,3 @@ class RankSVM:
         if self.coef_ is None:
             raise RuntimeError("model used before fit()")
         return np.asarray(X, dtype=float) @ self.coef_
-
-    def pairwise_accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Fraction of correctly ordered (pos, neg) pairs — the empirical AUC."""
-        from .objective import empirical_auc
-
-        return empirical_auc(self.decision_function(X), y)

@@ -75,13 +75,6 @@ def _pipe_year_windows(data: ModelData) -> tuple[np.ndarray, np.ndarray]:
     return counts, ages
 
 
-def _pipe_year_exposure(data: ModelData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked per-pipe-per-training-year rows: (X, counts, age_start, age_end)."""
-    counts, ages = _pipe_year_windows(data)
-    X = np.repeat(data.X_pipe, counts.shape[1], axis=0)
-    return X, counts.ravel(), ages.ravel(), ages.ravel() + 1.0
-
-
 @dataclass
 class WeibullModel(FailureModel):
     """Weibull power-law NHPP with multiplicative covariates."""
@@ -124,7 +117,8 @@ class TimeRateModel(FailureModel):
             self.name = names[self.kind]
 
     def fit(self, data: ModelData) -> "TimeRateModel":
-        _, counts, a0, _a1 = _pipe_year_exposure(data)
+        counts, ages = _pipe_year_windows(data)
+        counts, a0 = counts.ravel(), ages.ravel()
         lengths = np.repeat(data.pipe_lengths, len(data.train_years))
         if self.kind == "exponential":
             self._model = TimeExponentialModel().fit(a0, counts, lengths)

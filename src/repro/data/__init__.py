@@ -21,7 +21,7 @@ from .regions import (
     default_scale,
     get_region,
 )
-from .schema import FailureRecord, read_failures_csv, write_failures_csv, write_pipes_csv
+from .schema import FailureRecord
 from .wastewater import (
     generate_wastewater_network,
     load_wastewater_region,
@@ -50,9 +50,6 @@ __all__ = [
     "default_scale",
     "get_region",
     "FailureRecord",
-    "read_failures_csv",
-    "write_failures_csv",
-    "write_pipes_csv",
     "generate_wastewater_network",
     "load_wastewater_region",
     "simulate_chokes",

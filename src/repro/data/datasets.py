@@ -89,17 +89,6 @@ class PipeDataset:
                 matrix[i, j] = 1
         return matrix
 
-    def failure_counts_by_pipe(self, years: tuple[int, ...] | None = None) -> np.ndarray:
-        """Failure *event counts* per pipe over ``years`` (segments summed)."""
-        years = self.years if years is None else years
-        index = {pid: i for i, pid in enumerate(self.pipe_ids())}
-        counts = np.zeros(len(index))
-        year_set = set(years)
-        for rec in self.failures:
-            if rec.year in year_set and rec.pipe_id in index:
-                counts[index[rec.pipe_id]] += 1.0
-        return counts
-
     # -- splits & subsets -----------------------------------------------------
 
     @property
@@ -111,13 +100,6 @@ class PipeDataset:
     def test_year(self) -> int:
         """2009 (the held-out final year)."""
         return TEST_YEAR if TEST_YEAR in self.years else self.years[-1]
-
-    def split_failures(self) -> tuple[list[FailureRecord], list[FailureRecord]]:
-        """(training records, test records) by the train/test year split."""
-        train_years = set(self.train_years)
-        train = [r for r in self.failures if r.year in train_years]
-        test = [r for r in self.failures if r.year == self.test_year]
-        return train, test
 
     def subset(self, pipe_class: PipeClass) -> "PipeDataset":
         """Dataset restricted to one pipe class (the experiments use CWMs).

@@ -1,4 +1,4 @@
-"""Record schemas and CSV round-trips for network and failure data.
+"""Record schema for failure data.
 
 Mirrors the paper's data collection section: *network data* consists of
 pipe IDs, attributes, locations (connected line segments) and environmental
@@ -8,10 +8,7 @@ locations, precise enough to match each failure to a pipe segment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 from ..network.geometry import Point
 
@@ -33,62 +30,3 @@ class FailureRecord:
     def __post_init__(self) -> None:
         if self.year < 1800 or self.year > 2200:
             raise ValueError(f"implausible failure year {self.year}")
-
-
-def write_failures_csv(path: str | Path, records: Iterable[FailureRecord]) -> int:
-    """Write failure records to CSV; returns the number of rows written."""
-    path = Path(path)
-    n = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "pipe_id", "segment_id", "x", "y"])
-        for rec in records:
-            writer.writerow([rec.year, rec.pipe_id, rec.segment_id, rec.location[0], rec.location[1]])
-            n += 1
-    return n
-
-
-def read_failures_csv(path: str | Path) -> list[FailureRecord]:
-    """Read failure records written by :func:`write_failures_csv`."""
-    path = Path(path)
-    records: list[FailureRecord] = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"year", "pipe_id", "segment_id", "x", "y"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise ValueError(f"{path} is missing columns {required}")
-        for row in reader:
-            records.append(
-                FailureRecord(
-                    year=int(row["year"]),
-                    pipe_id=row["pipe_id"],
-                    segment_id=row["segment_id"],
-                    location=(float(row["x"]), float(row["y"])),
-                )
-            )
-    return records
-
-
-def write_pipes_csv(path: str | Path, pipes: Iterable) -> int:
-    """Write pipe attribute rows (one per pipe) to CSV."""
-    path = Path(path)
-    n = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["pipe_id", "material", "coating", "diameter_mm", "laid_year", "length_m", "n_segments"]
-        )
-        for pipe in pipes:
-            writer.writerow(
-                [
-                    pipe.pipe_id,
-                    pipe.material.name,
-                    pipe.coating.name,
-                    pipe.diameter_mm,
-                    pipe.laid_year,
-                    round(pipe.length, 2),
-                    pipe.n_segments,
-                ]
-            )
-            n += 1
-    return n

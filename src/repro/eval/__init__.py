@@ -1,6 +1,6 @@
 """Evaluation harness: metrics, significance, experiments, economics, risk maps."""
 
-from .economics import CostModel, PlanEconomics, plan_economics, savings_curve
+from .economics import CostModel, PlanEconomics, plan_economics
 from .experiment import (
     PAPER_MODELS,
     ComparisonResult,
@@ -18,7 +18,6 @@ from .metrics import (
     detection_curve,
     empirical_auc,
     permyriad,
-    roc_curve,
 )
 from .reporting import (
     binned_rate_table,
@@ -29,13 +28,12 @@ from .reporting import (
     table_18_4,
 )
 from .riskmap import DEFAULT_BANDS, RiskMap
-from .significance import TTestResult, bootstrap_auc_samples, paired_t_test, t_sf
+from .significance import TTestResult, paired_t_test, t_sf
 
 __all__ = [
     "CostModel",
     "PlanEconomics",
     "plan_economics",
-    "savings_curve",
     "PAPER_MODELS",
     "ComparisonResult",
     "ModelEvaluation",
@@ -50,7 +48,6 @@ __all__ = [
     "detection_curve",
     "empirical_auc",
     "permyriad",
-    "roc_curve",
     "binned_rate_table",
     "detection_readout",
     "format_table",
@@ -60,7 +57,6 @@ __all__ = [
     "DEFAULT_BANDS",
     "RiskMap",
     "TTestResult",
-    "bootstrap_auc_samples",
     "paired_t_test",
     "t_sf",
 ]

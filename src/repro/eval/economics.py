@@ -63,13 +63,6 @@ class PlanEconomics:
         """Averted failure cost minus inspection spend."""
         return self.averted_cost - self.inspection_cost
 
-    @property
-    def benefit_cost_ratio(self) -> float:
-        """Averted cost per unit of inspection spend (inf when free)."""
-        if self.inspection_cost == 0:
-            return float("inf") if self.averted_cost > 0 else 0.0
-        return self.averted_cost / self.inspection_cost
-
 
 def plan_economics(
     data: ModelData,
@@ -109,23 +102,3 @@ def plan_economics(
         failures_missed=total - caught,
         averted_cost=caught * costs.averted_cost_per_failure,
     )
-
-
-def savings_curve(
-    data: ModelData,
-    scores: np.ndarray,
-    budgets: np.ndarray | None = None,
-    costs: CostModel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Net savings as a function of the inspection budget fraction.
-
-    Returns ``(budgets, net_savings)``; the argmax is the economically
-    optimal inspection intensity for this ranking and cost model.
-    """
-    if budgets is None:
-        budgets = np.linspace(0.002, 0.2, 25)
-    budgets = np.asarray(budgets, dtype=float)
-    savings = np.array(
-        [plan_economics(data, scores, float(b), costs).net_savings for b in budgets]
-    )
-    return budgets, savings

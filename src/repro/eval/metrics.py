@@ -1,4 +1,4 @@
-"""Evaluation metrics: ROC/AUC, detection curves, budget-restricted AUC.
+"""Evaluation metrics: AUC, detection curves, budget-restricted AUC.
 
 The paper's two headline numbers per (model, region):
 
@@ -32,7 +32,6 @@ __all__ = [
     "detection_curve",
     "auc_at_budget",
     "permyriad",
-    "roc_curve",
 ]
 
 
@@ -115,38 +114,3 @@ def auc_at_budget(
 def permyriad(value: float) -> float:
     """Express a fraction in ‱ (per ten thousand), the paper's 1%-AUC unit."""
     return value * 10_000.0
-
-
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(false positive rate, true positive rate) at every *distinct* threshold.
-
-    The curve starts at the explicit (0, 0) origin and has exactly one
-    point per unique score value. Emitting a point per *item* (the old
-    behaviour) made the curve depend on how tied positives and negatives
-    happened to be ordered by the sort — a threshold either admits a tied
-    block wholly or not at all, so mid-block points are not operating
-    points, and trapezoidal area over them changed under permutations of
-    the input. Collapsing to unique thresholds makes the curve (and its
-    trapezoidal AUC, which now equals the midrank :func:`empirical_auc`)
-    tie-invariant.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float).ravel()
-    if scores.shape[0] != labels.shape[0]:
-        raise ValueError("scores and labels must align")
-    pos = labels == 1.0
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("need both positives and negatives")
-    order = np.argsort(-scores, kind="mergesort")
-    ranked_scores = scores[order]
-    tp = np.cumsum(labels[order] == 1.0)
-    fp = np.cumsum(labels[order] != 1.0)
-    # Keep the last index of every tied block: the cumulative counts there
-    # are the only achievable (FP, TP) operating points.
-    last_of_block = np.nonzero(np.diff(ranked_scores))[0]
-    keep = np.concatenate([last_of_block, [scores.size - 1]])
-    fpr = np.concatenate([[0.0], fp[keep] / n_neg])
-    tpr = np.concatenate([[0.0], tp[keep] / n_pos])
-    return fpr, tpr

@@ -76,35 +76,3 @@ def paired_t_test(
     else:
         raise ValueError(f"unknown alternative {alternative!r}")
     return TTestResult(statistic=float(stat), p_value=float(p), df=n - 1, mean_difference=mean)
-
-
-def bootstrap_auc_samples(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    n_boot: int = 200,
-    seed: int = 0,
-) -> np.ndarray:
-    """Bootstrap AUC replicates (resampling pipes with replacement).
-
-    A cheaper alternative to seed-repeat evaluation when only one fitted
-    model is available; resamples discard draws with no positive or no
-    negative examples.
-    """
-    from .metrics import empirical_auc
-
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    out: list[float] = []
-    n = scores.size
-    attempts = 0
-    while len(out) < n_boot and attempts < 20 * n_boot:
-        attempts += 1
-        idx = rng.integers(0, n, size=n)
-        sample_labels = labels[idx]
-        if sample_labels.sum() in (0, sample_labels.size):
-            continue
-        out.append(empirical_auc(scores[idx], sample_labels))
-    if len(out) < n_boot:
-        raise RuntimeError("could not draw enough valid bootstrap samples")
-    return np.asarray(out)

@@ -4,8 +4,6 @@ from .builder import FeatureConfig, ModelData, build_model_data
 from .domain import (
     EXPERT_FEATURE_PREFIXES,
     basic_config,
-    correlation_screen,
-    expert_config,
     expert_screen,
     is_expert_endorsed,
     naive_config,
@@ -17,8 +15,6 @@ __all__ = [
     "build_model_data",
     "EXPERT_FEATURE_PREFIXES",
     "basic_config",
-    "correlation_screen",
-    "expert_config",
     "expert_screen",
     "is_expert_endorsed",
     "naive_config",

@@ -120,10 +120,6 @@ class ModelData:
         # standardised one-hot blocks in X_seg.
         return np.hstack([self.X_seg, laid_z[:, None], 2.0 * era_onehot, 1.5 * xy_z])
 
-    def pipe_train_failure_counts(self) -> np.ndarray:
-        """Training failure-years per pipe (history feature for rankers)."""
-        return self.pipe_fail_train.sum(axis=1).astype(float)
-
     def validation_split(self) -> "ModelData":
         """Internal-validation view: last training year becomes the test year.
 
@@ -144,24 +140,6 @@ class ModelData:
             pipe_fail_test=self.pipe_fail_train[:, -1].astype(float),
             seg_fail_test=self.seg_fail_train[:, -1].astype(float),
         )
-
-    def aggregate_to_pipes(self, seg_values: np.ndarray, how: str = "max") -> np.ndarray:
-        """Reduce a per-segment vector to per-pipe (``max``, ``sum`` or ``mean``)."""
-        seg_values = np.asarray(seg_values, dtype=float)
-        out = np.zeros(self.n_pipes)
-        if how == "sum":
-            np.add.at(out, self.seg_pipe_idx, seg_values)
-        elif how == "max":
-            out.fill(-np.inf)
-            np.maximum.at(out, self.seg_pipe_idx, seg_values)
-            out[np.isneginf(out)] = 0.0
-        elif how == "mean":
-            np.add.at(out, self.seg_pipe_idx, seg_values)
-            counts = np.bincount(self.seg_pipe_idx, minlength=self.n_pipes)
-            out = out / np.maximum(counts, 1)
-        else:
-            raise ValueError(f"unknown aggregation {how!r}")
-        return out
 
     def survival_pipe_probability(self, seg_probs: np.ndarray) -> np.ndarray:
         """Pipe failure probability from segment probabilities.

@@ -9,18 +9,13 @@ would keep. This module encodes both directions:
 * :data:`EXPERT_FEATURE_PREFIXES` — the expert include-list (Table 18.2);
 * :func:`expert_screen` — drops every feature column the experts did not
   endorse (in particular decoys injected by ``FeatureConfig``);
-* :func:`correlation_screen` — the naive data-driven alternative: keep
-  whatever correlates with training labels above a threshold, which keeps
-  lucky decoys and drops genuinely informative but weakly marginal
-  features (interactions!);
-* preset :class:`FeatureConfig` factories for the three ablation arms.
+* preset :class:`FeatureConfig` factories for the basic and naive
+  ablation arms.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
 
 from .builder import FeatureConfig, ModelData
 
@@ -50,11 +45,6 @@ def naive_config(n_decoys: int = 8) -> FeatureConfig:
     return FeatureConfig(n_noise_decoys=n_decoys)
 
 
-def expert_config() -> FeatureConfig:
-    """The expert-endorsed feature set (Table 18.2)."""
-    return FeatureConfig()
-
-
 def is_expert_endorsed(name: str) -> bool:
     """True when a feature column is on the expert include-list."""
     return any(name.startswith(prefix) for prefix in EXPERT_FEATURE_PREFIXES)
@@ -65,30 +55,6 @@ def expert_screen(data: ModelData) -> ModelData:
     keep = [i for i, name in enumerate(data.feature_names) if is_expert_endorsed(name)]
     if not keep:
         raise ValueError("expert screening removed every feature")
-    return _select_columns(data, keep)
-
-
-def correlation_screen(data: ModelData, threshold: float = 0.01) -> ModelData:
-    """Naive filter: keep columns whose |corr| with training labels ≥ threshold.
-
-    Uses per-pipe any-failure-in-training labels. With sparse failures,
-    pure-noise decoys regularly clear a small threshold by luck while true
-    interaction features (informative only jointly) can fall below it —
-    the failure mode expert knowledge protects against.
-    """
-    labels = (data.pipe_fail_train.sum(axis=1) > 0).astype(float)
-    if labels.std() == 0:
-        raise ValueError("training labels are constant; cannot screen")
-    keep: list[int] = []
-    for i in range(data.X_pipe.shape[1]):
-        col = data.X_pipe[:, i]
-        if col.std() == 0:
-            continue
-        corr = float(np.corrcoef(col, labels)[0, 1])
-        if abs(corr) >= threshold:
-            keep.append(i)
-    if not keep:
-        raise ValueError(f"no feature exceeded |corr| >= {threshold}")
     return _select_columns(data, keep)
 
 

@@ -37,10 +37,6 @@ class CategoricalField:
         if unknown:
             raise ValueError(f"labels {unknown} missing from categories")
 
-    def value_at(self, p: Point) -> str:
-        """Category at point ``p``."""
-        return self.values_at([p])[0]
-
     def values_at(self, points: Sequence[Point] | np.ndarray) -> list[str]:
         """Categories at many points (an ``(n, 2)`` array or point sequence)."""
         idx, _ = nearest(points, self.seeds)
@@ -105,10 +101,6 @@ class ScalarField:
             raise ValueError("need one amplitude per center")
         if self.length_scale <= 0:
             raise ValueError("length_scale must be positive")
-
-    def value_at(self, p: Point) -> float:
-        """Field value in [0, 1] at ``p``."""
-        return float(self.values_at(np.asarray([p], dtype=float))[0])
 
     def values_at(self, points: Sequence[Point] | np.ndarray) -> np.ndarray:
         """Vectorised evaluation; output clipped to [0, 1]."""

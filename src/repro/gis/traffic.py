@@ -30,10 +30,6 @@ class TrafficNetwork:
         if len(self.intersections) == 0:
             raise ValueError("need at least one intersection")
 
-    @property
-    def n_intersections(self) -> int:
-        return len(self.intersections)
-
     def distance_to_nearest(self, points: Sequence[Point] | np.ndarray) -> np.ndarray:
         """Distance (m) from each point to its closest intersection.
 

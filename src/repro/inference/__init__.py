@@ -1,6 +1,5 @@
-"""From-scratch MCMC substrate: Metropolis and slice steps, traces, diagnostics."""
+"""From-scratch MCMC substrate: Metropolis steps and convergence diagnostics."""
 
-from .chains import Trace
 from .diagnostics import (
     autocorrelation,
     effective_sample_size,
@@ -16,10 +15,8 @@ from .metropolis import (
     metropolis_probability_steps,
     metropolis_step,
 )
-from .slice import slice_probability_step, slice_sample_step
 
 __all__ = [
-    "Trace",
     "autocorrelation",
     "effective_sample_size",
     "geweke_zscore",
@@ -31,6 +28,4 @@ __all__ = [
     "metropolis_probability_step",
     "metropolis_probability_steps",
     "metropolis_step",
-    "slice_probability_step",
-    "slice_sample_step",
 ]

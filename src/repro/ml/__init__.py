@@ -1,11 +1,10 @@
-"""ML substrate: preprocessing, GLMs, linear SVM."""
+"""ML substrate: preprocessing, Poisson GLM, linear SVM."""
 
-from .glm import LogisticRegression, PoissonRegression
+from .glm import PoissonRegression
 from .preprocessing import OneHotEncoder, StandardScaler, add_intercept
 from .svm import LinearSVM
 
 __all__ = [
-    "LogisticRegression",
     "PoissonRegression",
     "OneHotEncoder",
     "StandardScaler",

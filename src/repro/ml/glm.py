@@ -1,15 +1,10 @@
-"""Generalised linear models fitted by iteratively reweighted least squares.
+"""Poisson regression fitted by Newton–Raphson (iteratively reweighted least squares).
 
-Two exponential-family workhorses used across the repo:
-
-* :class:`LogisticRegression` — binary classification baseline and the
-  smooth surrogate inside feature screening.
-* :class:`PoissonRegression` — log-linear failure-count model; supplies the
-  multiplicative covariate factor ``exp(bᵀz)`` that the Weibull NHPP and
-  the Bayesian models apply (the paper applies features "multiplicatively,
-  similar to the Cox proportional hazards model").
-
-Both support L2 regularisation and an offset (log-exposure) term.
+:class:`PoissonRegression` is the log-linear failure-count model; it
+supplies the multiplicative covariate factor ``exp(bᵀz)`` that the Weibull
+NHPP and the Bayesian models apply (the paper applies features
+"multiplicatively, similar to the Cox proportional hazards model"). It
+supports L2 regularisation and an offset (log-exposure) term.
 """
 
 from __future__ import annotations
@@ -19,73 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocessing import add_intercept
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-@dataclass
-class LogisticRegression:
-    """L2-regularised logistic regression via Newton–Raphson (IRLS)."""
-
-    l2: float = 1e-4
-    max_iter: int = 100
-    tol: float = 1e-8
-    fit_intercept: bool = True
-    coef_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if set(np.unique(y)) - {0.0, 1.0}:
-            raise ValueError("labels must be binary 0/1")
-        if self.fit_intercept:
-            X = add_intercept(X)
-        n, d = X.shape
-        beta = np.zeros(d)
-        reg = self.l2 * np.eye(d)
-        if self.fit_intercept:
-            reg[0, 0] = 0.0  # never shrink the intercept
-        prev_ll = -np.inf
-        for _ in range(self.max_iter):
-            eta = X @ beta
-            mu = np.clip(_sigmoid(eta), 1e-12, 1 - 1e-12)
-            grad = X.T @ (y - mu) - self.l2 * _maybe_mask_intercept(beta, self.fit_intercept)
-            w = mu * (1.0 - mu)
-            hess = X.T @ (X * w[:, None]) + reg
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-            beta = beta + step
-            ll = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
-            if abs(ll - prev_ll) < self.tol * (abs(prev_ll) + 1.0):
-                break
-            prev_ll = ll
-        self.coef_ = beta
-        return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        beta = self._require_fit()
-        X = np.asarray(X, dtype=float)
-        if self.fit_intercept:
-            X = add_intercept(X)
-        return X @ beta
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(y = 1 | x) for each row."""
-        return _sigmoid(self.decision_function(X))
-
-    def _require_fit(self) -> np.ndarray:
-        if self.coef_ is None:
-            raise RuntimeError("model used before fit()")
-        return self.coef_
 
 
 @dataclass

@@ -23,7 +23,6 @@ from .drift import (
     DEFAULT_BAND,
     DriftFlag,
     DriftReport,
-    compare_run,
     compare_to_baseline,
     load_baseline,
     metrics_snapshot,
@@ -48,7 +47,6 @@ __all__ = [
     "HealthThresholds",
     "QuantityHealth",
     "RunReport",
-    "compare_run",
     "compare_to_baseline",
     "diagnose",
     "format_status",

@@ -228,12 +228,3 @@ def compare_to_baseline(
                 )
             )
     return report
-
-
-def compare_run(
-    run_dir: str | Path, baseline: Path | str, band: float = DEFAULT_BAND
-) -> DriftReport:
-    """Convenience: load a baseline and compare a run directory against it."""
-    return compare_to_baseline(
-        load_baseline(baseline), metrics_snapshot(run_dir), band=band
-    )

@@ -4,8 +4,8 @@ The convergence diagnostics in :mod:`repro.inference.diagnostics` were a
 dead-end library until this module: nothing called them, so a silently
 divergent chain produced a confident Table 18.3 row. :class:`ChainHealth`
 closes that loop — it records per-sweep scalars (cluster count, collapsed
-log-likelihood, acceptance rates) into one :class:`~repro.inference.chains.Trace`
-per chain, and at fit end folds per-quantity ESS, Geweke z and pooled
+log-likelihood, acceptance rates) as one plain array per quantity and
+chain, and at fit end folds per-quantity ESS, Geweke z and pooled
 split-R̂ into a :class:`HealthReport` with a pass/warn/fail verdict.
 
 Thresholds are tunable via :class:`HealthThresholds`.
@@ -26,7 +26,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .. import telemetry
-from ..inference.chains import Trace
 from ..inference.diagnostics import (
     effective_sample_size,
     geweke_zscore,
@@ -284,7 +283,7 @@ class ChainHealth:
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         self.burn_in = int(burn_in)
-        self._chains: dict[int, Trace] = {}
+        self._chains: dict[int, dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------ recording
     def ingest_chain(
@@ -292,9 +291,10 @@ class ChainHealth:
     ) -> int:
         """Bulk-add one chain's per-sweep series; returns its chain index."""
         index = chain if chain is not None else (max(self._chains, default=-1) + 1)
-        trace = self._chains.setdefault(index, Trace())
+        series = self._chains.setdefault(index, {})
         for name, values in quantities.items():
-            trace.extend(name, np.asarray(values, dtype=float).ravel())
+            values = np.asarray(values, dtype=float).ravel()
+            series[name] = np.concatenate([series[name], values]) if name in series else values
         return index
 
     # ------------------------------------------------------------- verdicts
@@ -307,7 +307,7 @@ class ChainHealth:
         chain_ids = sorted(self._chains)
         names: list[str] = []
         for cid in chain_ids:
-            for name in self._chains[cid].scalar_names():
+            for name in self._chains[cid]:
                 if name not in names:
                     names.append(name)
 
@@ -315,11 +315,8 @@ class ChainHealth:
         for name in names:
             series = []
             for cid in chain_ids:
-                trace = self._chains[cid]
-                if name not in trace:
-                    continue
-                samples = trace.get(name, burn_in=self.burn_in)
-                if samples.ndim == 1 and samples.size > 0:
+                samples = self._chains[cid].get(name, np.zeros(0))[self.burn_in :]
+                if samples.size > 0:
                     series.append(samples)
             if not series:
                 continue

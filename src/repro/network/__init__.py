@@ -6,12 +6,8 @@ from .geometry import (
     distance,
     interpolate,
     midpoint,
-    point_segment_distance,
-    polyline_length,
-    resample_polyline,
-    split_segment,
 )
-from .network import PipeNetwork, summarise
+from .network import PipeNetwork
 from .pipe import (
     CWM_DIAMETER_MM,
     FERROUS_MATERIALS,
@@ -29,12 +25,7 @@ __all__ = [
     "distance",
     "interpolate",
     "midpoint",
-    "point_segment_distance",
-    "polyline_length",
-    "resample_polyline",
-    "split_segment",
     "PipeNetwork",
-    "summarise",
     "CWM_DIAMETER_MM",
     "FERROUS_MATERIALS",
     "Coating",

@@ -1,16 +1,15 @@
 """Planar geometry primitives for pipe networks.
 
 Pipes are polylines in a projected (metre-based) plane. Everything here is
-pure computation on coordinates: lengths, interpolation, point-to-segment
-distances, and polyline subdivision. The functions accept plain ``(x, y)``
-tuples or ``numpy`` arrays of shape ``(n, 2)``.
+pure computation on coordinates: distances, interpolation and bounding
+boxes. The functions accept plain ``(x, y)`` tuples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,17 +21,6 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def polyline_length(points: Sequence[Point]) -> float:
-    """Total length of the polyline through ``points`` (in order).
-
-    A polyline with fewer than two points has length zero.
-    """
-    if len(points) < 2:
-        return 0.0
-    arr = np.asarray(points, dtype=float)
-    return float(np.sum(np.hypot(*(arr[1:] - arr[:-1]).T)))
-
-
 def interpolate(a: Point, b: Point, t: float) -> Point:
     """Point at parameter ``t`` (0 → ``a``, 1 → ``b``) along segment ``a``–``b``."""
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
@@ -41,57 +29,6 @@ def interpolate(a: Point, b: Point, t: float) -> Point:
 def midpoint(a: Point, b: Point) -> Point:
     """Midpoint of segment ``a``–``b``."""
     return interpolate(a, b, 0.5)
-
-
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Shortest distance from point ``p`` to the closed segment ``a``–``b``."""
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    seg_len_sq = dx * dx + dy * dy
-    if seg_len_sq == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
-    t = min(1.0, max(0.0, t))
-    cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(px - cx, py - cy)
-
-
-def split_segment(a: Point, b: Point, n_parts: int) -> list[tuple[Point, Point]]:
-    """Split segment ``a``–``b`` into ``n_parts`` equal-length sub-segments."""
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    cuts = [interpolate(a, b, i / n_parts) for i in range(n_parts + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def resample_polyline(points: Sequence[Point], n_parts: int) -> list[tuple[Point, Point]]:
-    """Split a polyline into ``n_parts`` sub-segments of equal arc length.
-
-    The returned sub-segments are straight chords between resampled points,
-    so their summed length can be marginally below the original polyline
-    length when the polyline bends; for pipe modelling this is negligible.
-    """
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    if len(points) < 2:
-        raise ValueError("polyline needs at least two points")
-    arr = np.asarray(points, dtype=float)
-    seg_lens = np.hypot(*(arr[1:] - arr[:-1]).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg_lens)])
-    total = cum[-1]
-    if total == 0.0:
-        return [(tuple(arr[0]), tuple(arr[0]))] * n_parts
-    targets = np.linspace(0.0, total, n_parts + 1)
-    resampled: list[Point] = []
-    for t in targets:
-        idx = int(np.searchsorted(cum, t, side="right") - 1)
-        idx = min(idx, len(seg_lens) - 1)
-        seg_len = seg_lens[idx]
-        frac = 0.0 if seg_len == 0.0 else (t - cum[idx]) / seg_len
-        resampled.append(interpolate(tuple(arr[idx]), tuple(arr[idx + 1]), frac))
-    return list(zip(resampled[:-1], resampled[1:]))
 
 
 @dataclass(frozen=True)
@@ -110,14 +47,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.max_y - self.min_y
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def contains(self, p: Point) -> bool:
-        """True when ``p`` lies inside or on the boundary."""
-        return self.min_x <= p[0] <= self.max_x and self.min_y <= p[1] <= self.max_y
 
     @staticmethod
     def around(points: Iterable[Point], margin: float = 0.0) -> "BoundingBox":

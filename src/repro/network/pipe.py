@@ -120,14 +120,3 @@ class Pipe:
     def pipe_class(self) -> PipeClass:
         """CWM when the diameter is at least 300 mm, else RWM."""
         return PipeClass.CWM if self.diameter_mm >= CWM_DIAMETER_MM else PipeClass.RWM
-
-    def age_in(self, year: int) -> float:
-        """Pipe age (years) during calendar ``year``; clipped below at 0."""
-        return max(0.0, float(year - self.laid_year))
-
-    def segment_index(self, segment_id: str) -> int:
-        """Position of ``segment_id`` within this pipe's segment list."""
-        for i, seg in enumerate(self.segments):
-            if seg.segment_id == segment_id:
-                return i
-        raise KeyError(f"pipe {self.pipe_id} has no segment {segment_id}")

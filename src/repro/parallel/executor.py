@@ -39,18 +39,8 @@ from .. import telemetry
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Recognised executor modes (aliases map onto these).
+#: Recognised executor modes (the CLI's ``--executor`` choices).
 MODES = ("serial", "threads", "processes")
-
-_MODE_ALIASES = {
-    "serial": "serial",
-    "sync": "serial",
-    "threads": "threads",
-    "thread": "threads",
-    "processes": "processes",
-    "process": "processes",
-    "fork": "processes",
-}
 
 
 @dataclass(frozen=True)
@@ -72,12 +62,10 @@ class ExecutorConfig:
 
 
 def _normalise_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[mode.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor mode {mode!r}; use one of {sorted(set(_MODE_ALIASES))}"
-        ) from None
+    normalised = mode.strip().lower()
+    if normalised not in MODES:
+        raise ValueError(f"unknown executor mode {mode!r}; use one of {list(MODES)}")
+    return normalised
 
 
 def _validate_jobs(jobs: int, source: str) -> None:

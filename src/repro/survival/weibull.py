@@ -116,9 +116,3 @@ class WeibullNHPP:
             raise RuntimeError("model used before fit()")
         exposure = _weibull_exposure(age_start, age_end, self.shape_)
         return self.glm_.predict_rate(X, exposure=exposure)
-
-    def failure_probability(
-        self, X: np.ndarray, age_start: np.ndarray, age_end: np.ndarray
-    ) -> np.ndarray:
-        """P(at least one failure) = ``1 − exp(−E[N])`` under the NHPP."""
-        return 1.0 - np.exp(-self.expected_failures(X, age_start, age_end))

@@ -1,4 +1,4 @@
-"""Trace aggregation: turn a JSONL trace into where-the-time-went tables.
+"""Aggregation of JSONL traces into where-the-time-went tables.
 
 The trace file interleaves span/counter/gauge lines from every process
 and thread that worked on a run. These helpers fold it back into the
@@ -73,15 +73,11 @@ def _span_dicts(records: list[dict | SpanRecord]) -> list[dict]:
     return out
 
 
-def aggregate_spans(
-    records: list[dict | SpanRecord], by: str = "name"
-) -> dict[str, SpanStats]:
-    """Per-``name`` (or per-``path``) timing stats over the span records."""
-    if by not in ("name", "path"):
-        raise ValueError(f"by must be 'name' or 'path', got {by!r}")
+def aggregate_spans(records: list[dict | SpanRecord]) -> dict[str, SpanStats]:
+    """Per-``name`` timing stats over the span records."""
     stats: dict[str, SpanStats] = {}
     for record in _span_dicts(records):
-        key = str(record.get(by, "?"))
+        key = str(record.get("name", "?"))
         stats.setdefault(key, SpanStats(name=key)).add(float(record.get("dur_s", 0.0)))
     return stats
 
@@ -106,20 +102,18 @@ def aggregate_gauges(records: list[dict]) -> dict[str, float]:
     return gauges
 
 
-def summarize_trace(
-    source: str | Path | list[dict] | TelemetryRecorder, by: str = "name"
-) -> dict:
+def summarize_trace(source: str | Path | list[dict] | TelemetryRecorder) -> dict:
     """One-stop summary of a trace file, parsed records, or a live recorder."""
     if isinstance(source, TelemetryRecorder):
         snap = source.snapshot()
         return {
-            "spans": aggregate_spans(snap["spans"], by=by),
+            "spans": aggregate_spans(snap["spans"]),
             "counters": snap["counters"],
             "gauges": snap["gauges"],
         }
     records = read_trace(source) if isinstance(source, (str, Path)) else source
     return {
-        "spans": aggregate_spans(records, by=by),
+        "spans": aggregate_spans(records),
         "counters": aggregate_counters(records),
         "gauges": aggregate_gauges(records),
     }

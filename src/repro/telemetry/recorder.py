@@ -35,7 +35,7 @@ from typing import Any
 #: Environment variable carrying the trace path into worker processes.
 TRACE_ENV = "REPRO_TRACE"
 
-#: Trace file name inside a run directory (written by ``--trace``).
+#: Name of the trace file inside a run directory (written by ``--trace``).
 TRACE_NAME = "trace.jsonl"
 
 #: In-memory span retention cap; the trace file keeps the full history.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import load_region
-from repro.data.regions import TEST_YEAR
 from repro.network.pipe import PipeClass
 
 
@@ -21,7 +20,7 @@ class TestLoadRegion:
 
     def test_environment_attached(self, tiny_dataset):
         assert tiny_dataset.environment.soil is not None
-        assert tiny_dataset.environment.traffic.n_intersections > 0
+        assert len(tiny_dataset.environment.traffic.intersections) > 0
         assert tiny_dataset.environment.canopy is None  # drinking water
 
 
@@ -47,23 +46,8 @@ class TestMatrices:
         np.maximum.at(expected, owner, seg)
         assert np.array_equal(pipe, expected)
 
-    def test_failure_counts_by_pipe(self, tiny_dataset):
-        counts = tiny_dataset.failure_counts_by_pipe()
-        assert counts.sum() == len(tiny_dataset.failures)
-
-    def test_counts_can_exceed_binary(self, tiny_dataset):
-        counts = tiny_dataset.failure_counts_by_pipe()
-        binary = tiny_dataset.pipe_failure_matrix().sum(axis=1)
-        assert np.all(counts >= binary)
-
 
 class TestSplitsAndSubsets:
-    def test_split_years(self, tiny_dataset):
-        train, test = tiny_dataset.split_failures()
-        assert all(r.year < TEST_YEAR for r in train)
-        assert all(r.year == TEST_YEAR for r in test)
-        assert len(train) + len(test) == len(tiny_dataset.failures)
-
     def test_train_years_property(self, tiny_dataset):
         assert tiny_dataset.train_years == tuple(range(1998, 2009))
         assert tiny_dataset.test_year == 2009

@@ -6,8 +6,6 @@ import pytest
 from repro.features.builder import build_model_data
 from repro.features.domain import (
     basic_config,
-    correlation_screen,
-    expert_config,
     expert_screen,
     is_expert_endorsed,
     naive_config,
@@ -55,22 +53,6 @@ class TestExpertScreen:
         assert np.array_equal(screened.X_pipe[:, col], md.X_pipe[:, orig])
 
 
-class TestCorrelationScreen:
-    def test_keeps_something(self, small_model_data):
-        out = correlation_screen(small_model_data, threshold=0.01)
-        assert 0 < len(out.feature_names) <= len(small_model_data.feature_names)
-
-    def test_high_threshold_raises(self, small_model_data):
-        with pytest.raises(ValueError):
-            correlation_screen(small_model_data, threshold=0.999)
-
-    def test_keeps_strong_correlates(self, small_model_data):
-        # log-length correlates with any-failure labels by construction
-        # (hazard scales with length); a permissive threshold keeps it.
-        out = correlation_screen(small_model_data, threshold=0.005)
-        assert "log_length_m" in out.feature_names
-
-
 class TestConfigs:
     def test_basic_excludes_environment(self):
         cfg = basic_config()
@@ -78,7 +60,3 @@ class TestConfigs:
 
     def test_naive_includes_decoys(self):
         assert naive_config(5).n_noise_decoys == 5
-
-    def test_expert_is_clean(self):
-        cfg = expert_config()
-        assert cfg.n_noise_decoys == 0 and cfg.include_soil

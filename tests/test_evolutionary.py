@@ -1,9 +1,9 @@
-"""Unit tests for the evolutionary optimisers."""
+"""Unit tests for the evolutionary optimiser."""
 
 import numpy as np
 import pytest
 
-from repro.core.ranking.evolutionary import DifferentialEvolution, EvolutionStrategy
+from repro.core.ranking.evolutionary import EvolutionStrategy
 
 
 def sphere(w):
@@ -46,35 +46,3 @@ class TestEvolutionStrategy:
         a = EvolutionStrategy(generations=10, seed=9).maximise(sphere, dim=2)
         b = EvolutionStrategy(generations=10, seed=9).maximise(sphere, dim=2)
         assert np.array_equal(a.best_params, b.best_params)
-
-
-class TestDifferentialEvolution:
-    def test_optimises_sphere(self):
-        res = DifferentialEvolution(generations=100, seed=1).maximise(sphere, dim=4)
-        assert np.allclose(res.best_params, 1.5, atol=0.1)
-
-    def test_handles_piecewise_constant(self):
-        res = DifferentialEvolution(generations=60, seed=2).maximise(step_function, dim=3)
-        assert res.best_value >= 6.0
-
-    def test_history_monotone(self):
-        res = DifferentialEvolution(generations=20, seed=3).maximise(sphere, dim=2)
-        assert all(b >= a - 1e-12 for a, b in zip(res.history, res.history[1:]))
-
-    def test_population_minimum(self):
-        with pytest.raises(ValueError):
-            DifferentialEvolution(population=3).maximise(sphere, dim=2)
-
-    def test_warm_start_in_population(self):
-        x0 = np.full(2, 1.5)
-        res = DifferentialEvolution(generations=0, seed=5).maximise(sphere, dim=2, x0=x0)
-        assert res.best_value >= sphere(x0) - 1e-12
-
-    def test_multimodal_rastrigin_like(self):
-        def rastrigin(w):
-            return -float(10 * len(w) + np.sum(w**2 - 10 * np.cos(2 * np.pi * w)))
-
-        res = DifferentialEvolution(population=60, generations=150, seed=7).maximise(
-            rastrigin, dim=2
-        )
-        assert res.best_value > -2.0  # near global optimum 0

@@ -99,25 +99,6 @@ class TestHelpers:
         xy = cf[:, -2:]
         assert np.allclose(xy.mean(axis=0), 0.0, atol=1e-9)
 
-    def test_aggregate_sum_and_mean(self, small_model_data):
-        md = small_model_data
-        ones = np.ones(md.n_segments)
-        sums = md.aggregate_to_pipes(ones, how="sum")
-        counts = np.bincount(md.seg_pipe_idx, minlength=md.n_pipes)
-        assert np.array_equal(sums, counts.astype(float))
-        means = md.aggregate_to_pipes(ones, how="mean")
-        assert np.allclose(means, 1.0)
-
-    def test_aggregate_max(self, small_model_data):
-        md = small_model_data
-        v = np.arange(md.n_segments, dtype=float)
-        out = md.aggregate_to_pipes(v, how="max")
-        assert out[0] == v[md.seg_pipe_idx == 0].max()
-
-    def test_aggregate_unknown_how(self, small_model_data):
-        with pytest.raises(ValueError):
-            small_model_data.aggregate_to_pipes(np.ones(small_model_data.n_segments), how="median")
-
     def test_survival_composition(self, small_model_data):
         md = small_model_data
         probs = np.full(md.n_segments, 0.01)
@@ -130,10 +111,6 @@ class TestHelpers:
         md = small_model_data
         pipe_p = md.survival_pipe_probability(np.ones(md.n_segments))
         assert np.all(pipe_p <= 1.0) and np.all(pipe_p >= 0.0)
-
-    def test_train_counts(self, small_model_data):
-        md = small_model_data
-        assert md.pipe_train_failure_counts().sum() == md.pipe_fail_train.sum()
 
 
 class TestValidationSplit:

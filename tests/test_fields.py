@@ -16,8 +16,8 @@ class TestCategoricalField:
             labels=["left", "right"],
             categories=["left", "right"],
         )
-        assert field.value_at((10.0, 0.0)) == "left"
-        assert field.value_at((90.0, 0.0)) == "right"
+        assert field.values_at([(10.0, 0.0)])[0] == "left"
+        assert field.values_at([(90.0, 0.0)])[0] == "right"
 
     def test_values_at_many(self):
         field = CategoricalField(
@@ -28,8 +28,8 @@ class TestCategoricalField:
     def test_piecewise_constant_regions(self, rng):
         field = CategoricalField.random(BOX, ["a", "b", "c"], 5, rng)
         # Points very close together share a value (almost surely).
-        v1 = field.value_at((500.0, 500.0))
-        v2 = field.value_at((500.1, 500.1))
+        v1 = field.values_at([(500.0, 500.0)])[0]
+        v2 = field.values_at([(500.1, 500.1)])[0]
         assert v1 == v2
 
     def test_random_covers_all_categories(self, rng):
@@ -64,8 +64,8 @@ class TestScalarField:
             length_scale=50.0,
             baseline=0.0,
         )
-        assert field.value_at((500.0, 500.0)) == pytest.approx(0.8)
-        assert field.value_at((900.0, 900.0)) < 0.01
+        assert field.values_at([(500.0, 500.0)])[0] == pytest.approx(0.8)
+        assert field.values_at([(900.0, 900.0)])[0] < 0.01
 
     def test_smoothness(self):
         field = ScalarField(
@@ -73,14 +73,14 @@ class TestScalarField:
             amplitudes=np.array([0.5]),
             length_scale=100.0,
         )
-        a = field.value_at((500.0, 500.0))
-        b = field.value_at((501.0, 500.0))
+        a = field.values_at([(500.0, 500.0)])[0]
+        b = field.values_at([(501.0, 500.0)])[0]
         assert abs(a - b) < 0.001
 
     def test_single_point_matches_batch(self, rng):
         field = ScalarField.random(BOX, rng)
         p = (123.0, 456.0)
-        assert field.value_at(p) == pytest.approx(field.values_at([p])[0])
+        assert field.values_at(np.asarray(p))[0] == field.values_at([p])[0]
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

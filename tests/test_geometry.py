@@ -1,8 +1,5 @@
 """Unit tests for planar geometry primitives."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +9,6 @@ from repro.network.geometry import (
     distance,
     interpolate,
     midpoint,
-    point_segment_distance,
-    polyline_length,
-    resample_polyline,
-    split_segment,
 )
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -38,23 +31,6 @@ class TestDistance:
         assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-6
 
 
-class TestPolylineLength:
-    def test_empty_and_single(self):
-        assert polyline_length([]) == 0.0
-        assert polyline_length([(1.0, 1.0)]) == 0.0
-
-    def test_two_points(self):
-        assert polyline_length([(0.0, 0.0), (3.0, 4.0)]) == pytest.approx(5.0)
-
-    def test_l_shape(self):
-        pts = [(0.0, 0.0), (10.0, 0.0), (10.0, 5.0)]
-        assert polyline_length(pts) == pytest.approx(15.0)
-
-    @given(st.lists(points, min_size=2, max_size=8))
-    def test_at_least_endpoint_distance(self, pts):
-        assert polyline_length(pts) >= distance(pts[0], pts[-1]) - 1e-6
-
-
 class TestInterpolate:
     def test_endpoints(self):
         assert interpolate((0.0, 0.0), (2.0, 4.0), 0.0) == (0.0, 0.0)
@@ -62,56 +38,6 @@ class TestInterpolate:
 
     def test_midpoint_matches(self):
         assert midpoint((0.0, 0.0), (2.0, 4.0)) == interpolate((0.0, 0.0), (2.0, 4.0), 0.5)
-
-
-class TestPointSegmentDistance:
-    def test_projection_inside(self):
-        assert point_segment_distance((1.0, 1.0), (0.0, 0.0), (2.0, 0.0)) == pytest.approx(1.0)
-
-    def test_projection_clamps_to_endpoint(self):
-        assert point_segment_distance((5.0, 0.0), (0.0, 0.0), (2.0, 0.0)) == pytest.approx(3.0)
-
-    def test_degenerate_segment(self):
-        assert point_segment_distance((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == pytest.approx(5.0)
-
-    @given(points, points, points)
-    def test_never_exceeds_endpoint_distances(self, p, a, b):
-        d = point_segment_distance(p, a, b)
-        assert d <= min(distance(p, a), distance(p, b)) + 1e-6
-
-
-class TestSplitting:
-    def test_split_counts_and_lengths(self):
-        parts = split_segment((0.0, 0.0), (10.0, 0.0), 4)
-        assert len(parts) == 4
-        for (a, b) in parts:
-            assert distance(a, b) == pytest.approx(2.5)
-
-    def test_split_preserves_endpoints(self):
-        parts = split_segment((1.0, 2.0), (5.0, 6.0), 3)
-        assert parts[0][0] == (1.0, 2.0)
-        assert parts[-1][1] == (5.0, 6.0)
-
-    def test_split_rejects_zero_parts(self):
-        with pytest.raises(ValueError):
-            split_segment((0.0, 0.0), (1.0, 0.0), 0)
-
-    def test_resample_straight_line(self):
-        parts = resample_polyline([(0.0, 0.0), (9.0, 0.0)], 3)
-        assert len(parts) == 3
-        assert parts[1][0] == pytest.approx((3.0, 0.0))
-
-    def test_resample_bent_polyline_equal_arcs(self):
-        pts = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
-        parts = resample_polyline(pts, 4)
-        lengths = [distance(a, b) for a, b in parts]
-        # Arc lengths equal 5 each; chords can only be shorter at the bend.
-        assert all(l <= 5.0 + 1e-9 for l in lengths)
-        assert lengths[0] == pytest.approx(5.0)
-
-    def test_resample_rejects_short_polyline(self):
-        with pytest.raises(ValueError):
-            resample_polyline([(0.0, 0.0)], 2)
 
 
 class TestBoundingBox:
@@ -123,15 +49,9 @@ class TestBoundingBox:
         box = BoundingBox.around([(0.0, 0.0), (2.0, 2.0)], margin=1.0)
         assert box.min_x == -1.0 and box.max_y == 3.0
 
-    def test_area_and_dims(self):
+    def test_dims(self):
         box = BoundingBox(0.0, 0.0, 4.0, 5.0)
-        assert box.width == 4.0 and box.height == 5.0 and box.area == 20.0
-
-    def test_contains(self):
-        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert box.contains((0.5, 0.5))
-        assert box.contains((1.0, 1.0))  # boundary counts
-        assert not box.contains((1.1, 0.5))
+        assert box.width == 4.0 and box.height == 5.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ class TestSoilLayers:
         soil = SoilLayers.random(BOX, rng)
         pts = np.array([[100.0, 100.0], [1500.0, 900.0], [1999.0, 3.0]])
         assert soil.sample(pts) == soil.sample([tuple(p) for p in pts])
-        assert soil.corrosiveness.value_at(tuple(pts[1])) == soil.sample(pts)["soil_corrosiveness"][1]
+        assert soil.corrosiveness.values_at([tuple(pts[1])])[0] == soil.sample(pts)["soil_corrosiveness"][1]
 
     def test_values_from_known_vocab(self, rng):
         soil = SoilLayers.random(BOX, rng)
@@ -71,13 +71,13 @@ class TestTrafficNetwork:
     def test_grid_density_follows_block_size(self, rng):
         fine = TrafficNetwork.from_street_grid(BOX, 100.0, rng, keep_fraction=1.0)
         coarse = TrafficNetwork.from_street_grid(BOX, 400.0, rng, keep_fraction=1.0)
-        assert fine.n_intersections > coarse.n_intersections
+        assert len(fine.intersections) > len(coarse.intersections)
 
     def test_keep_fraction_thins(self, rng):
         full = TrafficNetwork.from_street_grid(BOX, 200.0, rng, keep_fraction=1.0)
         rng2 = np.random.default_rng(0)
         thin = TrafficNetwork.from_street_grid(BOX, 200.0, rng2, keep_fraction=0.3)
-        assert thin.n_intersections < full.n_intersections
+        assert len(thin.intersections) < len(full.intersections)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

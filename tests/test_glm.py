@@ -1,48 +1,9 @@
-"""Unit tests for logistic and Poisson regression (IRLS)."""
+"""Unit tests for Poisson regression (IRLS)."""
 
 import numpy as np
 import pytest
 
-from repro.ml.glm import LogisticRegression, PoissonRegression
-
-
-class TestLogisticRegression:
-    def test_recovers_coefficients(self, rng):
-        n = 4000
-        X = rng.standard_normal((n, 2))
-        true = np.array([1.2, -0.7])
-        p = 1.0 / (1.0 + np.exp(-(0.3 + X @ true)))
-        y = (rng.random(n) < p).astype(float)
-        model = LogisticRegression(l2=1e-6).fit(X, y)
-        assert model.coef_[0] == pytest.approx(0.3, abs=0.15)  # intercept
-        assert np.allclose(model.coef_[1:], true, atol=0.15)
-
-    def test_predict_proba_in_unit_interval(self, rng):
-        X = rng.standard_normal((100, 3))
-        y = (rng.random(100) < 0.3).astype(float)
-        p = LogisticRegression().fit(X, y).predict_proba(X)
-        assert np.all((p > 0) & (p < 1))
-
-    def test_separable_data_bounded_by_ridge(self, rng):
-        X = np.concatenate([np.full((20, 1), -2.0), np.full((20, 1), 2.0)])
-        y = np.concatenate([np.zeros(20), np.ones(20)])
-        model = LogisticRegression(l2=1e-2).fit(X, y)
-        assert np.isfinite(model.coef_).all()
-
-    def test_rejects_non_binary(self, rng):
-        with pytest.raises(ValueError):
-            LogisticRegression().fit(np.ones((3, 1)), np.array([0.0, 1.0, 2.0]))
-
-    def test_use_before_fit(self):
-        with pytest.raises(RuntimeError):
-            LogisticRegression().predict_proba(np.ones((1, 1)))
-
-    def test_no_intercept_mode(self, rng):
-        X = rng.standard_normal((500, 1))
-        y = (rng.random(500) < 1 / (1 + np.exp(-2 * X[:, 0]))).astype(float)
-        m = LogisticRegression(fit_intercept=False, l2=1e-6).fit(X, y)
-        assert m.coef_.shape == (1,)
-        assert m.coef_[0] == pytest.approx(2.0, abs=0.4)
+from repro.ml.glm import PoissonRegression
 
 
 class TestPoissonRegression:

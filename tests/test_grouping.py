@@ -9,7 +9,6 @@ from repro.core.grouping import (
     group_by_diameter,
     group_by_laid_year,
     group_by_material,
-    segment_grouping,
 )
 
 
@@ -48,8 +47,3 @@ class TestGroupings:
     def test_unknown_scheme(self, small_model_data):
         with pytest.raises(ValueError):
             fixed_grouping(small_model_data, "colour")
-
-    def test_segment_grouping_broadcasts(self, small_model_data):
-        pipe_labels = fixed_grouping(small_model_data, "material")
-        seg_labels = segment_grouping(small_model_data, "material")
-        assert np.array_equal(seg_labels, pipe_labels[small_model_data.seg_pipe_idx])

@@ -55,15 +55,6 @@ class TestFitHBP:
             fit_hbp(failures, groups, n_sweeps=10, burn_in=20)
         with pytest.raises(ValueError):
             fit_hbp(failures.ravel(), groups, n_sweeps=10, burn_in=2)
-        with pytest.raises(ValueError):
-            fit_hbp(failures, groups, n_sweeps=10, burn_in=2, sampler="gibbs")
-
-    def test_slice_sampler_agrees_with_metropolis(self, rng):
-        """Both q_k updates target the same posterior."""
-        failures, groups = two_group_data(rng)
-        mh = fit_hbp(failures, groups, n_sweeps=250, burn_in=100, seed=1)
-        sl = fit_hbp(failures, groups, n_sweeps=250, burn_in=100, seed=1, sampler="slice")
-        assert np.allclose(mh.q_mean, sl.q_mean, atol=0.04)
 
 
 class TestHBPModel:

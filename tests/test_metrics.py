@@ -10,7 +10,6 @@ from repro.eval.metrics import (
     detection_curve,
     empirical_auc,
     permyriad,
-    roc_curve,
 )
 
 
@@ -106,68 +105,3 @@ class TestBudgetAUC:
 
     def test_permyriad(self):
         assert permyriad(0.000809) == pytest.approx(8.09)
-
-
-class TestROCCurve:
-    def test_monotone(self, rng):
-        scores, labels = random_scored(rng, n=100)
-        fpr, tpr = roc_curve(scores, labels)
-        assert np.all(np.diff(fpr) >= 0)
-        assert np.all(np.diff(tpr) >= 0)
-
-    def test_ends_at_one_one(self, rng):
-        scores, labels = random_scored(rng)
-        fpr, tpr = roc_curve(scores, labels)
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-
-    def test_trapezoid_matches_empirical_auc(self, rng):
-        scores = rng.standard_normal(200)
-        labels = (rng.random(200) < 0.3).astype(float)
-        labels[:2] = [1, 0]
-        fpr, tpr = roc_curve(scores, labels)
-        area = np.trapezoid(np.concatenate([[0.0], tpr]), np.concatenate([[0.0], fpr]))
-        assert area == pytest.approx(empirical_auc(scores, labels), abs=1e-9)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            roc_curve(np.ones(3), np.zeros(3))
-
-    def test_starts_at_origin(self, rng):
-        scores, labels = random_scored(rng)
-        fpr, tpr = roc_curve(scores, labels)
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-
-    def test_tied_scores_reference_values(self):
-        """Tied block collapsed to one point (sklearn drop_intermediate=False)."""
-        scores = np.array([0.8, 0.8, 0.6, 0.4])
-        labels = np.array([1.0, 0.0, 1.0, 0.0])
-        fpr, tpr = roc_curve(scores, labels)
-        assert np.allclose(fpr, [0.0, 0.5, 0.5, 1.0])
-        assert np.allclose(tpr, [0.0, 0.5, 1.0, 1.0])
-
-    def test_one_point_per_unique_threshold(self, rng):
-        scores = rng.choice([0.2, 0.7], size=40)
-        labels = (rng.random(40) < 0.5).astype(float)
-        labels[0], labels[1] = 1.0, 0.0
-        fpr, tpr = roc_curve(scores, labels)
-        assert len(fpr) == len(tpr) == 3  # origin + two unique thresholds
-
-    def test_tie_permutation_invariant(self, rng):
-        """Regression: input order within a tied block must not move the curve."""
-        scores = rng.choice([0.1, 0.5, 0.9], size=60)
-        labels = (rng.random(60) < 0.4).astype(float)
-        labels[0], labels[1] = 1.0, 0.0
-        fpr_a, tpr_a = roc_curve(scores, labels)
-        perm = rng.permutation(60)
-        fpr_b, tpr_b = roc_curve(scores[perm], labels[perm])
-        assert np.array_equal(fpr_a, fpr_b)
-        assert np.array_equal(tpr_a, tpr_b)
-
-    def test_heavy_ties_trapezoid_matches_empirical_auc(self, rng):
-        """Trapezoidal area over the curve equals the midrank AUC under ties."""
-        scores = rng.choice([0.0, 1.0, 2.0], size=200)
-        labels = (rng.random(200) < 0.3).astype(float)
-        labels[:2] = [1, 0]
-        fpr, tpr = roc_curve(scores, labels)
-        area = np.trapezoid(tpr, fpr)
-        assert area == pytest.approx(empirical_auc(scores, labels), abs=1e-12)

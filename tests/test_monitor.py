@@ -40,7 +40,6 @@ from repro.monitor import (
     ChainHealth,
     HealthReport,
     HealthThresholds,
-    compare_run,
     compare_to_baseline,
     diagnose,
     format_status,
@@ -182,6 +181,14 @@ class TestChainHealth:
         report = healthy.report(publish=False)
         assert report.verdict == "pass"
         assert report.quantities["theta"].n_samples == 300
+
+    def test_split_ingest_appends_to_the_same_chain(self):
+        whole, split = ChainHealth(), ChainHealth()
+        for index, chain in enumerate(_white_noise_chains()):
+            whole.ingest_chain({"theta": chain})
+            split.ingest_chain({"theta": chain[:150]}, chain=index)
+            split.ingest_chain({"theta": chain[150:]}, chain=index)
+        assert split.report(publish=False) == whole.report(publish=False)
 
     def test_short_series_leave_rhat_and_geweke_undiagnosable(self):
         health = ChainHealth()
@@ -345,7 +352,7 @@ class TestDrift:
         path = save_baseline(run_dir, directory=tmp_path, rev="abc123")
         assert path.name == "HEALTH_abc123.json"
         assert latest_baseline(tmp_path) == path
-        report = compare_run(run_dir, path)
+        report = compare_to_baseline(load_baseline(path), metrics_snapshot(run_dir))
         assert report.ok and report.verdict == "pass"
         assert report.n_compared == 4  # 2 cells × 2 metrics
         assert report.baseline_rev == "abc123"

@@ -1,9 +1,8 @@
 """Unit tests for the PipeNetwork container."""
 
-import networkx as nx
 import pytest
 
-from repro.network.network import PipeNetwork, summarise
+from repro.network.network import PipeNetwork
 from repro.network.pipe import Coating, Material, Pipe, PipeClass, PipeSegment
 
 
@@ -66,14 +65,6 @@ class TestFiltersAndAggregates:
     def test_segments_filter(self, net):
         assert len(net.segments(PipeClass.CWM)) == 2
 
-    def test_select(self, net):
-        old = net.select(lambda p: p.laid_year < 1950)
-        assert [p.pipe_id for p in old] == ["P1"]
-
-    def test_total_length(self, net):
-        assert net.total_length() == pytest.approx(40.0)
-        assert net.total_length(PipeClass.CWM) == pytest.approx(20.0)
-
     def test_laid_year_range(self, net):
         assert net.laid_year_range() == (1940, 1980)
 
@@ -85,25 +76,3 @@ class TestFiltersAndAggregates:
     def test_bounding_box(self, net):
         box = net.bounding_box()
         assert box.min_x == 0.0 and box.max_x == 120.0
-
-
-class TestGraphAndMerge:
-    def test_graph_edges(self, net):
-        g = net.to_graph()
-        assert isinstance(g, nx.Graph)
-        assert g.number_of_edges() == 4
-        # Serial segments of one pipe share a node.
-        assert nx.has_path(g, (0.0, 0.0), (20.0, 0.0))
-
-    def test_merge_is_disjoint_union(self, net):
-        other = PipeNetwork(region="U")
-        other.add_pipe(make_pipe("P9", x0=999.0))
-        merged = net.merge(other)
-        assert merged.n_pipes == 3
-        assert net.n_pipes == 2  # originals untouched
-
-    def test_summarise(self, net):
-        rows = summarise([net])
-        assert rows[0]["n_pipes"] == 2
-        assert rows[0]["n_cwm"] == 1
-        assert rows[0]["laid_years"] == (1940, 1980)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.core.ranking.objective import (
     empirical_auc,
     midranks,
-    sigmoid_auc,
-    top_fraction_hit_rate,
 )
 
 
@@ -94,43 +92,3 @@ class TestEmpiricalAUC:
         rank_sum = float(midranks(scores)[pos].sum())
         want = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         assert np.float64(empirical_auc(scores, labels)).tobytes() == np.float64(want).tobytes()
-
-
-class TestSigmoidAUC:
-    def test_approaches_exact_with_sharpness(self, rng):
-        scores = rng.standard_normal(80)
-        labels = (rng.random(80) < 0.3).astype(float)
-        labels[:2] = [1, 0]
-        exact = empirical_auc(scores, labels)
-        smooth = sigmoid_auc(scores, labels, sharpness=500.0)
-        assert smooth == pytest.approx(exact, abs=0.02)
-
-    def test_bounded(self, rng):
-        scores = rng.standard_normal(30)
-        labels = np.array([1] * 10 + [0] * 20, dtype=float)
-        assert 0.0 <= sigmoid_auc(scores, labels) <= 1.0
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            sigmoid_auc(np.ones(3), np.ones(3))
-
-
-class TestTopFractionHitRate:
-    def test_perfect_concentration(self):
-        scores = np.array([10.0, 9.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        labels = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=float)
-        assert top_fraction_hit_rate(scores, labels, 0.2) == 1.0
-
-    def test_zero_when_positives_at_bottom(self):
-        scores = np.arange(10.0)
-        labels = np.zeros(10)
-        labels[:2] = 1  # lowest scores
-        assert top_fraction_hit_rate(scores, labels, 0.2) == 0.0
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            top_fraction_hit_rate(np.ones(3), np.array([1.0, 0, 0]), 0.0)
-
-    def test_no_positives_rejected(self):
-        with pytest.raises(ValueError):
-            top_fraction_hit_rate(np.ones(3), np.zeros(3), 0.5)

@@ -64,10 +64,13 @@ class TestExecutorConfig:
         assert config.jobs == 3
 
     def test_env_mode_aliases(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        config = resolve_executor()
-        assert config.mode == "processes"
-        assert config.jobs >= 1
+        """Only the CLI's three spellings are modes; old aliases are rejected."""
+        for alias in ("sync", "thread", "process", "fork"):
+            monkeypatch.setenv("REPRO_EXECUTOR", alias)
+            with pytest.raises(ValueError, match="'serial', 'threads', 'processes'"):
+                resolve_executor()
+            with pytest.raises(ValueError, match="'serial', 'threads', 'processes'"):
+                resolve_executor(mode=alias)
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")

@@ -54,11 +54,6 @@ class TestPipe:
         assert make_pipe(diameter=CWM_DIAMETER_MM - 1).pipe_class is PipeClass.RWM
         assert make_pipe(diameter=750.0).pipe_class is PipeClass.CWM
 
-    def test_age(self):
-        pipe = make_pipe(laid=1950)
-        assert pipe.age_in(2000) == 50.0
-        assert pipe.age_in(1940) == 0.0  # before laying: clipped
-
     def test_rejects_non_positive_diameter(self):
         with pytest.raises(ValueError):
             make_pipe(diameter=0.0)
@@ -67,12 +62,6 @@ class TestPipe:
         seg = PipeSegment("X/s0", "X", (0.0, 0.0), (1.0, 0.0))
         with pytest.raises(ValueError):
             Pipe("P1", Material.PVC, Coating.NONE, 100.0, 1990, [seg])
-
-    def test_segment_index(self):
-        pipe = make_pipe(n_segments=3)
-        assert pipe.segment_index("P1/s1") == 1
-        with pytest.raises(KeyError):
-            pipe.segment_index("P1/s99")
 
     def test_empty_pipe_has_zero_length(self):
         pipe = Pipe("P9", Material.PVC, Coating.NONE, 100.0, 1990, [])

@@ -45,7 +45,7 @@ class TestRankingFeatures:
         md = small_model_data
         X = ranking_features(md, include_history=True)  # defaults to test year
         # History column is a standardised log1p of the full train count.
-        counts = md.pipe_train_failure_counts()
+        counts = md.pipe_fail_train.sum(axis=1)
         col = X[:, md.X_pipe.shape[1] + 1]
         order_hist = np.argsort(counts)
         assert np.all(np.diff(col[order_hist]) >= -1e-9)
@@ -82,14 +82,10 @@ class TestModels:
         assert empirical_auc(scores, md.pipe_fail_test) > 0.55
 
     def test_optimiser_improves_training_objective(self, small_model_data):
-        model = AUCRankingModel(generations=15, population=24, seed=0, optimiser="de")
+        model = AUCRankingModel(generations=15, population=24, seed=0)
         model.fit(small_model_data)
         assert model.result_.best_value >= model.result_.history[0] - 1e-12
         assert model.result_.best_value > 0.6  # training AUC
-
-    def test_unknown_optimiser(self, small_model_data):
-        with pytest.raises(ValueError):
-            AUCRankingModel(optimiser="sgd").fit(small_model_data)
 
     def test_svm_ranking_beats_chance(self, small_model_data):
         md = small_model_data

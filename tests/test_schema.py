@@ -1,14 +1,8 @@
-"""Unit tests for record schemas and CSV round-trips."""
+"""Unit tests for the failure record schema."""
 
 import pytest
 
-from repro.data.schema import (
-    FailureRecord,
-    read_failures_csv,
-    write_failures_csv,
-    write_pipes_csv,
-)
-from repro.network.pipe import Coating, Material, Pipe, PipeSegment
+from repro.data.schema import FailureRecord
 
 
 class TestFailureRecord:
@@ -25,40 +19,3 @@ class TestFailureRecord:
         a = FailureRecord(2000, "P", "P/s0", (1.0, 2.0))
         b = FailureRecord(2000, "P", "P/s0", (1.0, 2.0))
         assert len({a, b}) == 1
-
-
-class TestCSVRoundTrip:
-    def test_failures_round_trip(self, tmp_path):
-        records = [
-            FailureRecord(2001, "P1", "P1/s0", (1.5, 2.5)),
-            FailureRecord(2003, "P2", "P2/s1", (-3.0, 4.0)),
-        ]
-        path = tmp_path / "failures.csv"
-        n = write_failures_csv(path, records)
-        assert n == 2
-        assert read_failures_csv(path) == records
-
-    def test_empty_round_trip(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_failures_csv(path, [])
-        assert read_failures_csv(path) == []
-
-    def test_missing_columns_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("year,pipe_id\n2001,P1\n")
-        with pytest.raises(ValueError):
-            read_failures_csv(path)
-
-    def test_pipes_csv_written(self, tmp_path):
-        pipe = Pipe(
-            "P1",
-            Material.CICL,
-            Coating.TAR,
-            300.0,
-            1950,
-            [PipeSegment("P1/s0", "P1", (0.0, 0.0), (10.0, 0.0))],
-        )
-        path = tmp_path / "pipes.csv"
-        assert write_pipes_csv(path, [pipe]) == 1
-        text = path.read_text()
-        assert "CICL" in text and "1950" in text and "10.0" in text

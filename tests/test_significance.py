@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.eval.significance import (
-    bootstrap_auc_samples,
-    paired_t_test,
-    t_sf,
-)
+from repro.eval.significance import paired_t_test, t_sf
 
 
 class TestTSF:
@@ -76,32 +72,3 @@ class TestPairedTTest:
         result = paired_t_test(a, b)
         assert result.df == 14
         assert result.mean_difference == pytest.approx(float((a - b).mean()))
-
-
-class TestBootstrap:
-    def test_sample_count_and_range(self, rng):
-        scores = rng.standard_normal(200)
-        labels = (rng.random(200) < 0.2).astype(float)
-        labels[:2] = [1, 0]
-        samples = bootstrap_auc_samples(scores, labels, n_boot=50, seed=1)
-        assert samples.shape == (50,)
-        assert np.all((samples >= 0) & (samples <= 1))
-
-    def test_centred_on_point_estimate(self, rng):
-        from repro.eval.metrics import empirical_auc
-
-        n = 500
-        latent = rng.standard_normal(n)
-        labels = (latent > 1.0).astype(float)
-        scores = latent + 0.5 * rng.standard_normal(n)
-        point = empirical_auc(scores, labels)
-        samples = bootstrap_auc_samples(scores, labels, n_boot=200, seed=2)
-        assert samples.mean() == pytest.approx(point, abs=0.03)
-
-    def test_impossible_bootstrap_raises(self, rng):
-        # One positive in two points: most resamples are degenerate, but
-        # some succeed; a single-class dataset must fail cleanly.
-        scores = np.array([1.0, 0.0])
-        labels = np.array([1.0, 1.0])
-        with pytest.raises(RuntimeError):
-            bootstrap_auc_samples(scores, labels, n_boot=10, seed=3)

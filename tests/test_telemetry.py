@@ -170,7 +170,6 @@ class TestTraceFile:
         records = read_trace(path)
         spans = aggregate_spans(records)
         assert spans["fit"].count == 1 and spans["sweep"].count == 1
-        assert "fit/sweep" in aggregate_spans(records, by="path")
         # Two counter flushes (top-level span exit, explicit) sum as deltas.
         assert aggregate_counters(records) == {"sweeps": 5.0}
         assert aggregate_gauges(records) == {"accept": 0.25}

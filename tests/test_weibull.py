@@ -74,18 +74,6 @@ class TestPrediction:
         old = fitted.expected_failures(X[1:], np.array([50.0]), np.array([51.0]))
         assert old[0] > young[0]
 
-    def test_probability_bounded(self, fitted, rng):
-        X = rng.standard_normal((50, 1))
-        ages = rng.uniform(1, 80, 50)
-        p = fitted.failure_probability(X, ages, ages + 1.0)
-        assert np.all((p >= 0) & (p <= 1))
-
-    def test_probability_below_expectation(self, fitted):
-        X = np.array([[2.0]])
-        e = fitted.expected_failures(X, np.array([60.0]), np.array([61.0]))
-        p = fitted.failure_probability(X, np.array([60.0]), np.array([61.0]))
-        assert p[0] <= e[0]
-
     def test_use_before_fit(self):
         with pytest.raises(RuntimeError):
             WeibullNHPP().expected_failures(np.ones((1, 1)), np.ones(1), np.ones(1) + 1)
