@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test lint bench bench-save bench-compare perfcheck perfcheck-procs health-save health-compare report examples clean
+.PHONY: install test lint bench bench-save bench-compare perfcheck perfcheck-procs report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -39,18 +39,6 @@ perfcheck:
 # shared-memory bundle and asserts no segment leaks.
 perfcheck-procs:
 	REPRO_EXECUTOR=processes REPRO_JOBS=2 PYTHONPATH=src python -m repro.perf smoke
-
-# Metric-drift harness (save/compare for accuracy):
-# snapshot a run directory's per-cell metrics to HEALTH_<rev>.json / fail
-# when any cell's metric moves outside the band. Usage:
-#   make health-save RUN_DIR=runs/my-run
-#   make health-compare RUN_DIR=runs/my-run
-RUN_DIR ?= runs/latest
-health-save:
-	PYTHONPATH=src python -m repro.monitor save $(RUN_DIR)
-
-health-compare:
-	PYTHONPATH=src python -m repro.monitor compare $(RUN_DIR)
 
 report:
 	python -c "from repro.eval.report import write_report; print(write_report('benchmarks/artifacts'))"

@@ -7,7 +7,7 @@ Commands
 ``grid``       the repeated Table 18.3/18.4 grid — journalled, resumable
 ``status``     progress/timing/failure report over a journalled run directory,
                with each cell's worst convergence verdict
-``doctor``     convergence/drift/failure health check over a run directory
+``doctor``     convergence/failure health check over a run directory
                (exit 0 healthy / 1 warnings / 2 failures; ``--json`` for CI)
 ``riskmap``    fit DPMHBP and write a Fig. 18.9-style SVG risk map
 ``plan``       produce a budget-constrained inspection plan with economics
@@ -125,12 +125,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from .runs.journal import JournalError
 
     try:
-        report = diagnose(
-            args.run_dir_pos,
-            baseline=args.baseline,
-            band=args.band,
-        )
-    except (JournalError, ValueError) as exc:
+        report = diagnose(args.run_dir_pos)
+    except JournalError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.json:
@@ -288,22 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "doctor",
         parents=[parent],
-        help="convergence/drift/failure health check over a run directory",
+        help="convergence/failure health check over a run directory",
     )
     p.add_argument(
         "run_dir_pos", metavar="run_dir", type=Path, help="a --run-dir/--resume directory"
-    )
-    p.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="HEALTH_<rev>.json metric baseline to check drift against",
-    )
-    p.add_argument(
-        "--band",
-        type=float,
-        default=0.02,
-        help="drift band (absolute for [0,1] metrics, relative otherwise)",
     )
     p.add_argument(
         "--json", action="store_true", help="machine-readable report for CI"

@@ -1,19 +1,18 @@
 """``repro doctor <run_dir>`` — one verdict over a journalled run's health.
 
-The doctor folds three independent signals into a single CI-friendly
-exit code (0 healthy / 1 warnings / 2 failures):
+The doctor folds two signals into a single CI-friendly exit code
+(0 healthy / 1 warnings / 2 failures):
 
 * **convergence** — the health report each chain-fitting model (in the
   default line-up, :class:`~repro.core.dpmhbp.DPMHBPModel`) left in its
   cell's completion marker, one verdict per (cell, model); completed
   cells that carry no report at all are a warning, never a pass;
-* **drift** — the run's per-cell metrics vs. a ``HEALTH_<rev>.json``
-  baseline (omitted when no baseline is given or discoverable);
 * **failures** — cells whose last attempt failed, with error types and
   retry counts pulled from the journal.
 
 ``nan`` diagnostics stay "undiagnosable": they are printed but never
-escalate the verdict. The doctor renders the same
+escalate the verdict (a stuck chain is graded, see
+:mod:`repro.monitor.health`). The doctor renders the same
 :class:`~repro.monitor.report.RunReport` as ``repro status``, read only
 from the journal, so its output for a finished run is the same before
 and after a ``--resume``.
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import telemetry
-from .drift import DEFAULT_BAND, DriftReport, compare_to_baseline, load_baseline, metrics_snapshot
 from .health import HealthReport, VERDICT_CODES
 from .report import CellReport, RunReport, run_report
 
@@ -36,11 +34,10 @@ EXIT_CODES = {"pass": 0, "undiagnosable": 0, "warn": 1, "fail": 2}
 
 @dataclass
 class DoctorReport:
-    """The run report ``repro doctor`` renders, plus drift and the folded verdict."""
+    """The run report ``repro doctor`` renders, plus the folded verdict."""
 
     run: RunReport
     verdict: str = "pass"
-    drift: DriftReport | None = None
 
     @property
     def run_dir(self) -> str:
@@ -72,7 +69,6 @@ class DoctorReport:
             "verdict": self.verdict,
             "exit_code": self.exit_code,
             "health": {label: r.to_json() for label, r in self.health.items()},
-            "drift": self.drift.to_json() if self.drift is not None else None,
             "cells_completed": self.cells_completed,
             "cells_failed": {
                 cell_id: {"error_type": cell.error_type, "attempts": cell.attempts}
@@ -101,19 +97,11 @@ class DoctorReport:
         else:
             lines.append("convergence: no completed cell carries a health report")
         lines.append("")
-        if self.drift is not None:
-            lines.append("drift:")
-            lines.append(self.drift.format())
-            lines.append("")
         lines.append(f"doctor verdict: {self.verdict.upper()} (exit {self.exit_code})")
         return "\n".join(lines)
 
 
-def diagnose(
-    run_dir: str | Path,
-    baseline: str | Path | None = None,
-    band: float = DEFAULT_BAND,
-) -> DoctorReport:
+def diagnose(run_dir: str | Path) -> DoctorReport:
     """Inspect a journalled run directory and fold a doctor verdict.
 
     Raises :class:`~repro.runs.journal.JournalError` when ``run_dir`` is
@@ -122,18 +110,12 @@ def diagnose(
     …) so ``--metrics-out`` exports a scrape-ready snapshot.
     """
     report = DoctorReport(run=run_report(run_dir))
-    if baseline is not None:
-        report.drift = compare_to_baseline(
-            load_baseline(baseline), metrics_snapshot(run_dir), band=band
-        )
 
-    # Fold: failures dominate, then chain-health, then drift warnings.
+    # Fold: failed cells dominate, then chain health.
     # A run with no health report to fold is a warning, not a pass.
     level = 0 if report.health else 1
     for health in report.health.values():
         level = max(level, EXIT_CODES.get(health.verdict, 1))
-    if report.drift is not None and not report.drift.ok:
-        level = max(level, 1)
     if report.cells_failed:
         level = max(level, 2)
     report.verdict = {0: "pass", 1: "warn", 2: "fail"}[level]
@@ -144,6 +126,4 @@ def diagnose(
         telemetry.gauge("doctor.health", VERDICT_CODES.get(report.verdict, 1.0))
         telemetry.gauge("doctor.cells_completed", float(report.cells_completed))
         telemetry.gauge("doctor.cells_failed", float(len(report.cells_failed)))
-        if report.drift is not None:
-            telemetry.gauge("doctor.drift_flags", float(len(report.drift.flags)))
     return report

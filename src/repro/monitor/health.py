@@ -8,19 +8,22 @@ log-likelihood, acceptance rates) as one plain array per quantity and
 chain, and at fit end folds per-quantity ESS, Geweke z and pooled
 split-R̂ into a :class:`HealthReport` with a pass/warn/fail verdict.
 
-Thresholds are tunable via :class:`HealthThresholds`.
+The bands are the module constants below (R̂ 1.1 / 1.3, ESS 25 / 10,
+|z| 2.5 / 4).
 
 ``nan`` diagnostics keep the meaning the diagnostics module defines:
 **undiagnosable**. An undiagnosable statistic never passes *or* fails a
-quantity — it is reported as-is and excluded from the verdict, so a
-degenerate (constant) quantity cannot masquerade as a converged one and
-cannot fail an otherwise healthy fit either.
+quantity — it is reported as-is and excluded from the verdict. A
+quantity whose every chain is constant is graded on that instead, since
+a stuck chain is not a converged one: the same value in every retained
+sweep of every chain is a ``warn`` ("stuck at <value>"), and chains each
+stuck at a different value ``fail``. Only a series too short for any
+statistic stays undiagnosable.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,43 +35,21 @@ from ..inference.diagnostics import (
     split_rhat,
 )
 
-#: Verdict severity order (worst wins when folding quantities together).
-VERDICTS = ("pass", "warn", "fail")
-
 #: Numeric code exported as the ``chain.health`` gauge.
 VERDICT_CODES = {"pass": 0.0, "undiagnosable": 1.0, "warn": 1.0, "fail": 2.0}
 
 #: Geweke needs this many retained samples to say anything.
 MIN_GEWEKE_SAMPLES = 20
 
+#: Pass/warn/fail bands. R̂ and |geweke z| escalate when they reach their
+#: bound; ESS (summed across chains) when it falls below its bound.
+RHAT_WARN, RHAT_FAIL = 1.1, 1.3
+ESS_WARN, ESS_FAIL = 25.0, 10.0
+GEWEKE_WARN, GEWEKE_FAIL = 2.5, 4.0
 
-@dataclass(frozen=True)
-class HealthThresholds:
-    """Tunable pass/warn/fail bands for the convergence statistics.
-
-    ``rhat`` and ``|geweke z|`` escalate when they *exceed* their bound;
-    ``ess`` (summed across chains) escalates when it *falls below* its
-    bound. Defaults are the conventional conservative choices (R̂ 1.1 /
-    1.3, |z| 2.5 / 4, ESS 25 / 10).
-    """
-
-    rhat_warn: float = 1.1
-    rhat_fail: float = 1.3
-    ess_warn: float = 25.0
-    ess_fail: float = 10.0
-    geweke_warn: float = 2.5
-    geweke_fail: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not (1.0 <= self.rhat_warn <= self.rhat_fail):
-            raise ValueError("need 1.0 <= rhat_warn <= rhat_fail")
-        if not (0.0 <= self.ess_fail <= self.ess_warn):
-            raise ValueError("need 0 <= ess_fail <= ess_warn")
-        if not (0.0 < self.geweke_warn <= self.geweke_fail):
-            raise ValueError("need 0 < geweke_warn <= geweke_fail")
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+#: Split-R̂ needs this many retained samples per chain; a shorter series
+#: is undiagnosable even when it is constant.
+MIN_RHAT_SAMPLES = 4
 
 
 def _nan_to_none(value: float) -> float | None:
@@ -126,7 +107,6 @@ class HealthReport:
     """Every monitored quantity's diagnostics plus the folded verdict."""
 
     quantities: dict[str, QuantityHealth]
-    thresholds: HealthThresholds = field(default_factory=HealthThresholds)
     verdict: str = "undiagnosable"
 
     @property
@@ -143,7 +123,6 @@ class HealthReport:
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "thresholds": self.thresholds.to_json(),
             "quantities": {
                 name: q.to_json() for name, q in self.quantities.items()
             },
@@ -151,12 +130,13 @@ class HealthReport:
 
     @classmethod
     def from_json(cls, payload: dict) -> "HealthReport":
+        # Reports written before the bands became constants also carry a
+        # "thresholds" entry; it is ignored.
         return cls(
             quantities={
                 name: QuantityHealth.from_json(entry)
                 for name, entry in (payload.get("quantities") or {}).items()
             },
-            thresholds=HealthThresholds(**(payload.get("thresholds") or {})),
             verdict=str(payload.get("verdict", "undiagnosable")),
         )
 
@@ -218,45 +198,49 @@ def fold_verdicts(verdicts: Iterable[str]) -> str:
 
 
 def _classify(
-    name: str,
-    ess: float,
-    geweke_z: float,
-    rhat: float,
-    thresholds: HealthThresholds,
+    samples: np.ndarray, ess: float, geweke_z: float, rhat: float
 ) -> tuple[str, tuple[str, ...]]:
-    """Fold the three statistics into one per-quantity verdict.
+    """Fold one quantity's ``(n_chains, n_samples)`` series into a verdict.
 
-    Undiagnosable (nan) statistics are skipped: they can neither pass nor
-    fail the quantity. A quantity with *no* diagnosable statistic is
+    Chains that are each constant carry no statistic, so they are graded
+    on their values: all equal is stuck (warn), unequal fails. Otherwise
+    undiagnosable (nan) statistics are skipped: they can neither pass nor
+    fail the quantity, and one with *no* diagnosable statistic is
     "undiagnosable" overall.
     """
+    if samples.shape[1] >= MIN_RHAT_SAMPLES and not np.ptp(samples, axis=1).any():
+        values = samples[:, 0]
+        if not np.ptp(values):
+            return "warn", (f"stuck at {values[0]:g}",)
+        stuck = ", ".join(f"{v:g}" for v in values)
+        return "fail", (f"chains stuck at different values: {stuck}",)
     level = -1  # -1 undiagnosable, 0 pass, 1 warn, 2 fail
     reasons: list[str] = []
     if np.isfinite(rhat):
-        if rhat >= thresholds.rhat_fail:
+        if rhat >= RHAT_FAIL:
             level = max(level, 2)
-            reasons.append(f"R-hat {rhat:.3f} >= {thresholds.rhat_fail}")
-        elif rhat >= thresholds.rhat_warn:
+            reasons.append(f"R-hat {rhat:.3f} >= {RHAT_FAIL}")
+        elif rhat >= RHAT_WARN:
             level = max(level, 1)
-            reasons.append(f"R-hat {rhat:.3f} >= {thresholds.rhat_warn}")
+            reasons.append(f"R-hat {rhat:.3f} >= {RHAT_WARN}")
         else:
             level = max(level, 0)
     if np.isfinite(ess):
-        if ess < thresholds.ess_fail:
+        if ess < ESS_FAIL:
             level = max(level, 2)
-            reasons.append(f"ESS {ess:.1f} < {thresholds.ess_fail}")
-        elif ess < thresholds.ess_warn:
+            reasons.append(f"ESS {ess:.1f} < {ESS_FAIL}")
+        elif ess < ESS_WARN:
             level = max(level, 1)
-            reasons.append(f"ESS {ess:.1f} < {thresholds.ess_warn}")
+            reasons.append(f"ESS {ess:.1f} < {ESS_WARN}")
         else:
             level = max(level, 0)
     if np.isfinite(geweke_z):
-        if abs(geweke_z) >= thresholds.geweke_fail:
+        if abs(geweke_z) >= GEWEKE_FAIL:
             level = max(level, 2)
-            reasons.append(f"|geweke z| {abs(geweke_z):.2f} >= {thresholds.geweke_fail}")
-        elif abs(geweke_z) >= thresholds.geweke_warn:
+            reasons.append(f"|geweke z| {abs(geweke_z):.2f} >= {GEWEKE_FAIL}")
+        elif abs(geweke_z) >= GEWEKE_WARN:
             level = max(level, 1)
-            reasons.append(f"|geweke z| {abs(geweke_z):.2f} >= {thresholds.geweke_warn}")
+            reasons.append(f"|geweke z| {abs(geweke_z):.2f} >= {GEWEKE_WARN}")
         else:
             level = max(level, 0)
     verdict = {-1: "undiagnosable", 0: "pass", 1: "warn", 2: "fail"}[level]
@@ -274,12 +258,7 @@ class ChainHealth:
     split-R̂.
     """
 
-    def __init__(
-        self,
-        thresholds: HealthThresholds | None = None,
-        burn_in: int = 0,
-    ):
-        self.thresholds = thresholds if thresholds is not None else HealthThresholds()
+    def __init__(self, burn_in: int = 0):
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         self.burn_in = int(burn_in)
@@ -298,11 +277,11 @@ class ChainHealth:
         return index
 
     # ------------------------------------------------------------- verdicts
-    def report(self, publish: bool = True) -> HealthReport:
+    def report(self) -> HealthReport:
         """Compute the :class:`HealthReport` over everything recorded.
 
-        ``publish=True`` (default) also exports the statistics as
-        telemetry gauges via :meth:`HealthReport.publish_gauges`.
+        Also exports the statistics as telemetry gauges via
+        :meth:`HealthReport.publish_gauges` (a no-op with telemetry off).
         """
         chain_ids = sorted(self._chains)
         names: list[str] = []
@@ -325,8 +304,8 @@ class ChainHealth:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ess = self._pooled_ess(trimmed)
                 geweke = self._worst_geweke(trimmed)
-                rhat = split_rhat(trimmed) if n >= 4 else float("nan")
-            verdict, reasons = _classify(name, ess, geweke, rhat, self.thresholds)
+                rhat = split_rhat(trimmed) if n >= MIN_RHAT_SAMPLES else float("nan")
+            verdict, reasons = _classify(trimmed, ess, geweke, rhat)
             quantities[name] = QuantityHealth(
                 name=name,
                 n_chains=trimmed.shape[0],
@@ -340,11 +319,8 @@ class ChainHealth:
             )
 
         verdict = fold_verdicts(q.verdict for q in quantities.values())
-        report = HealthReport(
-            quantities=quantities, thresholds=self.thresholds, verdict=verdict
-        )
-        if publish:
-            report.publish_gauges()
+        report = HealthReport(quantities=quantities, verdict=verdict)
+        report.publish_gauges()
         return report
 
     @staticmethod

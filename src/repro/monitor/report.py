@@ -9,8 +9,8 @@ liveness) and, when the run was traced, ``trace.jsonl`` — and returns a
 * ``repro status`` (:func:`format_status`) — progress, timing, failures,
   each cell's worst convergence verdict, and the trace tables;
 * ``repro doctor`` (:func:`repro.monitor.doctor.diagnose`) — the
-  per-(cell, model) convergence tables, drift against a baseline, and
-  one CI exit code.
+  per-(cell, model) convergence tables, failure context, and one CI
+  exit code.
 
 Everything here is read-only, so it works on an in-flight run (a
 concurrent writer only ever appends whole lines / renames complete

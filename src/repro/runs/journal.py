@@ -37,7 +37,7 @@ import tempfile
 import zipfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -292,13 +292,18 @@ class RunJournal:
         return {p.stem for p in base.glob("*.json") if not p.name.endswith(".failed.json")
                 and (base / f"{p.stem}.npz").exists()}
 
-    def _markers(self) -> Iterator[tuple[str, dict]]:
-        """``(cell_id, record)`` of every readable completion marker.
+    def cell_health(self) -> dict[str, dict[str, "HealthReport"]]:
+        """Per-cell, per-model convergence reports from the completion markers.
 
-        Reads only the lightweight ``.json`` records (no array loads, no
-        checksum validation). Unreadable markers are skipped, matching
+        Shape ``{cell_id: {model_name: report}}``; models that fit no
+        chains (and cells with no such model) are absent. Reads only the
+        lightweight ``.json`` records (no array loads, no checksum
+        validation); unreadable markers are skipped, matching
         :meth:`failed_cells`.
         """
+        from ..monitor.health import HealthReport
+
+        out: dict[str, dict[str, HealthReport]] = {}
         base = self.run_dir / CELLS_DIR
         for path in sorted(base.glob("*.json")):
             if path.name.endswith(".failed.json"):
@@ -307,41 +312,7 @@ class RunJournal:
                 record = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
-            yield str(record.get("cell_id", path.stem)), record
-
-    def cell_metrics(self) -> dict[str, dict[str, dict[str, float]]]:
-        """Per-cell, per-model scalar metrics from the completion markers.
-
-        Shape ``{cell_id: {model_name: {metric: value}}}`` — the metric
-        history the drift tracker compares across revisions. Non-scalar
-        entries (the budget, a model's health report) are not metrics.
-        """
-        out: dict[str, dict[str, dict[str, float]]] = {}
-        for cell_id, record in self._markers():
-            models: dict[str, dict[str, float]] = {}
-            for entry in record.get("models", []):
-                name = entry.get("name")
-                if not name:
-                    continue
-                models[str(name)] = {
-                    key: float(value)
-                    for key, value in entry.items()
-                    if key not in ("name", "budget")
-                    and isinstance(value, (int, float))
-                }
-            out[cell_id] = models
-        return out
-
-    def cell_health(self) -> dict[str, dict[str, "HealthReport"]]:
-        """Per-cell, per-model convergence reports from the completion markers.
-
-        Shape ``{cell_id: {model_name: report}}``; models that fit no
-        chains (and cells with no such model) are absent.
-        """
-        from ..monitor.health import HealthReport
-
-        out: dict[str, dict[str, HealthReport]] = {}
-        for cell_id, record in self._markers():
+            cell_id = str(record.get("cell_id", path.stem))
             for entry in record.get("models", []):
                 if entry.get("health") is not None:
                     out.setdefault(cell_id, {})[entry["name"]] = HealthReport.from_json(

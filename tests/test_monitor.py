@@ -1,28 +1,29 @@
-"""Model-health monitoring: convergence verdicts, drift, and the doctor.
+"""Model-health monitoring: convergence verdicts and the doctor.
 
 Pins the contracts of :mod:`repro.monitor`:
 
-* thresholds reject inverted bands;
+* the pass/warn/fail bands are the conventional constants;
 * :class:`ChainHealth` turns per-sweep scalars into per-quantity
   ESS/Geweke/split-R̂ verdicts — healthy chains pass, divergent chains
-  are flagged, constant (nan) quantities stay "undiagnosable" without
-  escalating or passing anything;
+  are flagged, a quantity stuck at one value warns, chains stuck at
+  different values fail, and a series too short for any statistic stays
+  "undiagnosable" without escalating or passing anything;
 * a real two-chain DPMHBP fit produces finite R̂/ESS for the cluster
   count and the collapsed log-likelihood, and ``DPMHBPModel`` pools its
   chains into ``health_``;
 * the run journal carries each fit's ``health_`` in its cell's completion
-  marker, restores it on resume, and keeps it out of the drift metrics;
-* drift baselines flag cell×model×metric moves outside the band, and a
-  comparison with no metric in common grades ``warn``, never ``pass``;
-* ``repro doctor`` folds failures > per-cell chain health > drift into
-  exit codes 0/1/2 (no health report at all is a warning), with
-  ``--json`` and ``--metrics-out`` round-tripping;
+  marker next to (not among) the model's metrics, restores it on resume,
+  and still reads markers whose reports carry a ``thresholds`` entry;
+* ``repro doctor`` folds failures > per-cell chain health into exit
+  codes 0/1/2 (no health report at all is a warning), with ``--json``
+  and ``--metrics-out`` round-tripping;
 * ``repro status`` and ``repro doctor`` render one run report: the same
   cells, failures, retries and health, and a worst-verdict column per cell
   in status.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -39,18 +40,12 @@ from repro.eval.experiment import (
 from repro.monitor import (
     ChainHealth,
     HealthReport,
-    HealthThresholds,
-    compare_to_baseline,
     diagnose,
     format_status,
-    load_baseline,
-    metrics_snapshot,
     run_report,
-    save_baseline,
 )
-from repro.monitor.__main__ import main as monitor_main
+from repro.monitor import health as health_module
 from repro.monitor.doctor import EXIT_CODES
-from repro.monitor.drift import latest_baseline
 from repro.runs import CellSpec, RunJournal
 from repro.telemetry import TRACE_ENV
 
@@ -78,23 +73,10 @@ def _divergent_chains(n=200, offset=50.0, seed=1):
 
 class TestHealthThresholds:
     def test_defaults_are_the_conventional_bands(self):
-        t = HealthThresholds()
-        assert (t.rhat_warn, t.rhat_fail) == (1.1, 1.3)
-        assert (t.ess_warn, t.ess_fail) == (25.0, 10.0)
-        assert (t.geweke_warn, t.geweke_fail) == (2.5, 4.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rhat_warn": 0.9},  # below the R-hat floor of 1.0
-            {"rhat_warn": 1.4, "rhat_fail": 1.2},  # warn above fail
-            {"ess_warn": 5.0, "ess_fail": 10.0},  # fail above warn
-            {"geweke_warn": 0.0},  # degenerate band
-        ],
-    )
-    def test_inverted_bands_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            HealthThresholds(**kwargs)
+        m = health_module
+        assert (m.RHAT_WARN, m.RHAT_FAIL) == (1.1, 1.3)
+        assert (m.ESS_WARN, m.ESS_FAIL) == (25.0, 10.0)
+        assert (m.GEWEKE_WARN, m.GEWEKE_FAIL) == (2.5, 4.0)
 
 
 class TestChainHealth:
@@ -102,7 +84,7 @@ class TestChainHealth:
         health = ChainHealth()
         for chain in _white_noise_chains():
             health.ingest_chain({"theta": chain})
-        report = health.report(publish=False)
+        report = health.report()
         assert report.verdict == "pass" and report.ok
         q = report.quantities["theta"]
         assert q.n_chains == 2 and q.n_samples == 400
@@ -115,39 +97,53 @@ class TestChainHealth:
         health = ChainHealth()
         for chain in _divergent_chains():
             health.ingest_chain({"theta": chain})
-        report = health.report(publish=False)
+        report = health.report()
         assert report.verdict != "pass"
         q = report.quantities["theta"]
         assert q.rhat > 1.3
         assert any("R-hat" in reason for reason in q.reasons)
 
     def test_divergent_chains_warn_inside_the_warn_band(self):
-        # Push every fail bound out of reach: the same divergence must
-        # land in the warn band, not silently pass.
-        health = ChainHealth(
-            thresholds=HealthThresholds(rhat_fail=1e6, geweke_fail=1e6, ess_fail=0.0)
-        )
-        for chain in _divergent_chains():
+        # Chains a little more than one sd apart: R̂ lands in the warn
+        # band, and the divergence must warn, not silently pass.
+        health = ChainHealth()
+        for chain in _divergent_chains(offset=1.15):
             health.ingest_chain({"theta": chain})
-        report = health.report(publish=False)
-        assert report.verdict == "warn"
-        assert report.quantities["theta"].verdict == "warn"
+        report = health.report()
+        q = report.quantities["theta"]
+        assert 1.1 <= q.rhat < 1.3
+        assert q.verdict == "warn" and report.verdict == "warn"
+        assert any("R-hat" in reason for reason in q.reasons)
 
-    def test_constant_quantity_is_undiagnosable_not_fail(self):
+    def test_constant_quantity_is_stuck_warn_not_fail(self):
         health = ChainHealth()
         for chain in _white_noise_chains():
             health.ingest_chain({"theta": chain, "flat": np.full(400, 7.0)})
-        report = health.report(publish=False)
+        report = health.report()
         flat = report.quantities["flat"]
-        assert flat.verdict == "undiagnosable"
+        assert flat.verdict == "warn" and flat.reasons == ("stuck at 7",)
         assert np.isnan(flat.rhat) and np.isnan(flat.ess) and np.isnan(flat.geweke_z)
-        # ... and it neither fails nor passes the folded verdict.
-        assert report.verdict == "pass"
+        # ... a stuck chain is not a converged one, so the fit warns.
+        assert report.quantities["theta"].verdict == "pass"
+        assert report.verdict == "warn" and not report.ok
+        assert "warn  (stuck at 7)" in report.format()
+
+    def test_chains_stuck_at_different_values_fail(self):
+        health = ChainHealth()
+        for value in (23.0, 26.0):
+            health.ingest_chain({"n_clusters": np.full(30, value)})
+        report = health.report()
+        q = report.quantities["n_clusters"]
+        assert q.verdict == "fail" and report.verdict == "fail"
+        assert q.reasons == ("chains stuck at different values: 23, 26",)
+        assert np.isnan(q.rhat) and np.isnan(q.ess)
 
     def test_only_undiagnosable_quantities_fold_to_undiagnosable(self):
+        # Too short for split-R̂: a constant series is not graded stuck.
         health = ChainHealth()
-        health.ingest_chain({"flat": np.full(50, 1.0)})
-        report = health.report(publish=False)
+        health.ingest_chain({"flat": np.full(3, 1.0)})
+        report = health.report()
+        assert report.quantities["flat"].verdict == "undiagnosable"
         assert report.verdict == "undiagnosable"
         assert not report.ok
         assert np.isnan(report.worst_rhat())
@@ -159,7 +155,7 @@ class TestChainHealth:
         bad = _divergent_chains()
         for i in range(2):
             health.ingest_chain({"good": noise[i], "bad": bad[i]})
-        report = health.report(publish=False)
+        report = health.report()
         assert report.quantities["good"].verdict == "pass"
         assert report.quantities["bad"].verdict == "fail"
         assert report.verdict == "fail"
@@ -177,8 +173,8 @@ class TestChainHealth:
         for chain in chains:
             flagged.ingest_chain({"theta": chain})
             healthy.ingest_chain({"theta": chain})
-        assert flagged.report(publish=False).verdict == "fail"
-        report = healthy.report(publish=False)
+        assert flagged.report().verdict == "fail"
+        report = healthy.report()
         assert report.verdict == "pass"
         assert report.quantities["theta"].n_samples == 300
 
@@ -188,12 +184,12 @@ class TestChainHealth:
             whole.ingest_chain({"theta": chain})
             split.ingest_chain({"theta": chain[:150]}, chain=index)
             split.ingest_chain({"theta": chain[150:]}, chain=index)
-        assert split.report(publish=False) == whole.report(publish=False)
+        assert split.report() == whole.report()
 
     def test_short_series_leave_rhat_and_geweke_undiagnosable(self):
         health = ChainHealth()
         health.ingest_chain({"theta": np.array([1.0, 2.0, 1.5])})  # < 4 samples
-        q = health.report(publish=False).quantities["theta"]
+        q = health.report().quantities["theta"]
         assert np.isnan(q.rhat)
         assert np.isnan(q.geweke_z)  # < MIN_GEWEKE_SAMPLES too
 
@@ -216,10 +212,9 @@ class TestChainHealth:
         health = ChainHealth()
         for chain in _white_noise_chains():
             health.ingest_chain({"theta": chain, "flat": np.full(400, 2.0)})
-        report = health.report(publish=False)
+        report = health.report()
         restored = HealthReport.from_json(json.loads(json.dumps(report.to_json())))
         assert restored.verdict == report.verdict
-        assert restored.thresholds == report.thresholds
         for name, q in report.quantities.items():
             r = restored.quantities[name]
             assert r.verdict == q.verdict and r.reasons == q.reasons
@@ -230,7 +225,7 @@ class TestChainHealth:
         health = ChainHealth()
         for chain in _white_noise_chains():
             health.ingest_chain({"theta": chain})
-        text = health.report(publish=False).format()
+        text = health.report().format()
         assert "quantity" in text and "R-hat" in text
         assert "health verdict: PASS" in text
 
@@ -260,7 +255,7 @@ class TestDPMHBPHealth:
                     "accept_q": posterior.accept_trace,
                 }
             )
-        report = health.report(publish=False)
+        report = health.report()
         for name in ("n_clusters", "log_lik"):
             q = report.quantities[name]
             assert q.n_chains == 2
@@ -292,7 +287,7 @@ def _report(chains):
     health = ChainHealth()
     for chain in chains:
         health.ingest_chain({"theta": chain})
-    return health.report(publish=False)
+    return health.report()
 
 
 def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run", health=True):
@@ -337,112 +332,6 @@ def _completed_run(tmp_path, auc=0.7, fail_one=False, name="run", health=True):
     return run_dir
 
 
-class TestDrift:
-    def test_snapshot_reads_completed_cell_metrics(self, tmp_path):
-        snapshot = metrics_snapshot(_completed_run(tmp_path))
-        assert snapshot["cells"]["A-r000"]["Cox"]["auc"] == pytest.approx(0.7)
-        assert snapshot["cells"]["A-r001"]["Cox"]["auc"] == pytest.approx(0.75)
-
-    def test_failed_cells_contribute_no_metrics(self, tmp_path):
-        snapshot = metrics_snapshot(_completed_run(tmp_path, fail_one=True))
-        assert list(snapshot["cells"]) == ["A-r000"]
-
-    def test_save_compare_round_trip(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        path = save_baseline(run_dir, directory=tmp_path, rev="abc123")
-        assert path.name == "HEALTH_abc123.json"
-        assert latest_baseline(tmp_path) == path
-        report = compare_to_baseline(load_baseline(path), metrics_snapshot(run_dir))
-        assert report.ok and report.verdict == "pass"
-        assert report.n_compared == 4  # 2 cells × 2 metrics
-        assert report.baseline_rev == "abc123"
-
-    def test_unit_scale_metrics_use_the_absolute_band(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        baseline = load_baseline(save_baseline(run_dir, directory=tmp_path, rev="r"))
-        baseline["cells"]["A-r000"]["Cox"]["auc"] = 0.75  # moved 0.05 > band 0.02
-        report = compare_to_baseline(baseline, metrics_snapshot(run_dir))
-        (flag,) = report.flags
-        assert flag.key == "A-r000/Cox/auc"
-        assert not flag.relative
-        assert flag.delta == pytest.approx(-0.05)
-        assert "DRIFT: A-r000/Cox/auc" in report.format()
-
-    def test_unbounded_metrics_use_the_relative_band(self):
-        baseline = {"rev": "r", "cells": {"c": {"M": {"loss": 100.0}}}}
-        within = {"cells": {"c": {"M": {"loss": 101.0}}}}  # +1% < 2%
-        outside = {"cells": {"c": {"M": {"loss": 104.0}}}}  # +4% > 2%
-        assert compare_to_baseline(baseline, within).ok
-        report = compare_to_baseline(baseline, outside)
-        assert [f.relative for f in report.flags] == [True]
-
-    def test_missing_and_added_metrics_do_not_flag(self):
-        baseline = {"rev": "r", "cells": {"c": {"Old": {"auc": 0.7}, "Kept": {"auc": 0.6}}}}
-        current = {"cells": {"c": {"New": {"auc": 0.7}, "Kept": {"auc": 0.6}}}}
-        report = compare_to_baseline(baseline, current)
-        assert report.ok and report.n_compared == 1
-        assert report.missing == ["c/Old/auc"]
-        assert report.added == ["c/New/auc"]
-
-    def test_nothing_compared_is_a_warning(self):
-        # A gate that found nothing to check must not pass.
-        baseline = {"rev": "r", "cells": {"A-r000": {"HBP": {"auc": 0.8}}}}
-        report = compare_to_baseline(baseline, {"cells": {}})
-        assert report.n_compared == 0 and not report.flags
-        assert not report.ok and report.verdict == "warn"
-        assert report.missing == ["A-r000/HBP/auc"]
-        assert "shares no metric with the baseline" in report.format()
-
-    def test_band_must_be_positive(self):
-        with pytest.raises(ValueError, match="band"):
-            compare_to_baseline({"cells": {}}, {"cells": {}}, band=0.0)
-
-    def test_load_baseline_rejects_non_baselines(self, tmp_path):
-        path = tmp_path / "HEALTH_x.json"
-        path.write_text('{"rev": "x"}')
-        with pytest.raises(ValueError, match="no 'cells' key"):
-            load_baseline(path)
-
-    def test_monitor_cli_save_then_compare(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        rc = monitor_main(
-            ["save", str(run_dir), "--dir", str(tmp_path), "--rev", "test"]
-        )
-        assert rc == 0
-        assert "2 cell(s), 4 metric(s)" in capsys.readouterr().out
-        rc = monitor_main(["compare", str(run_dir), "--dir", str(tmp_path)])
-        assert rc == 0
-        assert "no metric drifted" in capsys.readouterr().out
-
-    def test_monitor_cli_flags_drift_with_exit_one(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        baseline = save_baseline(run_dir, directory=tmp_path, rev="test")
-        payload = json.loads(baseline.read_text())
-        payload["cells"]["A-r000"]["Cox"]["auc"] = 0.9
-        baseline.write_text(json.dumps(payload))
-        rc = monitor_main(["compare", str(run_dir), str(baseline), "--json"])
-        assert rc == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["verdict"] == "warn"
-        assert [f["metric"] for f in report["flags"]] == ["auc"]
-
-    def test_monitor_cli_disjoint_baseline_exits_one(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        baseline = tmp_path / "HEALTH_disjoint.json"
-        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
-        rc = monitor_main(["compare", str(run_dir), str(baseline), "--json"])
-        assert rc == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["verdict"] == "warn" and report["n_compared"] == 0
-        assert report["flags"] == []
-
-    def test_monitor_cli_without_baseline_exits_two(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        rc = monitor_main(["compare", str(run_dir), "--dir", str(tmp_path / "empty")])
-        assert rc == 2
-        assert "no HEALTH_*.json baseline" in capsys.readouterr().err
-
-
 class TestDoctor:
     def test_healthy_run_passes_with_exit_zero(self, tmp_path):
         report = diagnose(_completed_run(tmp_path))
@@ -473,23 +362,14 @@ class TestDoctor:
         assert report.health["A-r001/Cox"].verdict == "fail"
         assert report.verdict == "fail" and report.exit_code == 2
 
-    def test_drift_is_a_warning_exit_one(self, tmp_path):
+    def test_stuck_chain_is_a_warning_exit_one(self, tmp_path):
         run_dir = _completed_run(tmp_path)
-        baseline = save_baseline(run_dir, directory=tmp_path, rev="r")
-        payload = json.loads(baseline.read_text())
-        payload["cells"]["A-r000"]["Cox"]["auc"] = 0.9
-        baseline.write_text(json.dumps(payload))
-        report = diagnose(run_dir, baseline=baseline)
-        assert report.verdict == "warn" and report.exit_code == 1
-        assert len(report.drift.flags) == 1
-
-    def test_disjoint_baseline_is_a_warning_exit_one(self, tmp_path):
-        run_dir = _completed_run(tmp_path)
-        assert diagnose(run_dir).verdict == "pass"
-        baseline = tmp_path / "HEALTH_disjoint.json"
-        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
-        report = diagnose(run_dir, baseline=baseline)
-        assert report.drift.n_compared == 0 and not report.drift.flags
+        marker = run_dir / "cells" / "A-r001.json"
+        record = json.loads(marker.read_text())
+        record["models"][0]["health"] = _report([np.full(30, 23.0)] * 2).to_json()
+        marker.write_text(json.dumps(record))
+        report = diagnose(run_dir)
+        assert report.health["A-r001/Cox"].quantities["theta"].reasons == ("stuck at 23",)
         assert report.verdict == "warn" and report.exit_code == 1
 
     def test_completed_cells_without_health_warn(self, tmp_path):
@@ -519,29 +399,14 @@ class TestDoctorCLI:
         assert cli_main(["doctor", str(run_dir)]) == 2
         assert "FAILED A-r001" in capsys.readouterr().out
 
-    def test_drifted_baseline_exits_one(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        baseline = save_baseline(run_dir, directory=tmp_path, rev="r")
-        payload = json.loads(baseline.read_text())
-        payload["cells"]["A-r000"]["Cox"]["auc"] = 0.9
-        baseline.write_text(json.dumps(payload))
-        assert cli_main(["doctor", str(run_dir), "--baseline", str(baseline)]) == 1
-        assert "DRIFT: A-r000/Cox/auc" in capsys.readouterr().out
-
-    def test_disjoint_baseline_exits_one(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        baseline = tmp_path / "HEALTH_disjoint.json"
-        baseline.write_text(json.dumps({"rev": "d", "cells": {"B-r000": {"HBP": {"auc": 0.8}}}}))
-        assert cli_main(["doctor", str(run_dir), "--baseline", str(baseline)]) == 1
-        assert "shares no metric with the baseline" in capsys.readouterr().out
-
     def test_json_output_parses(self, tmp_path, capsys):
         run_dir = _completed_run(tmp_path)
         assert cli_main(["doctor", str(run_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "pass"
         assert payload["exit_code"] == 0
-        assert payload["drift"] is None
+        assert "drift" not in payload
+        assert "thresholds" not in payload["health"]["A-r000/Cox"]
 
     def test_not_a_run_directory_exits_two(self, tmp_path, capsys):
         assert cli_main(["doctor", str(tmp_path)]) == 2
@@ -664,9 +529,35 @@ class TestHealthInTheJournal:
             )
 
     def test_health_is_not_a_drift_metric(self, dpmhbp_grid):
+        # The marker keeps the report beside the model's scalar metrics,
+        # not as one of them.
         run_dir, _ = dpmhbp_grid
-        assert _marker(run_dir, 0)["models"][0]["health"] is not None
-        cells = RunJournal.open(run_dir).cell_metrics()
-        for cell in ("A-r000", "A-r001"):
-            assert set(cells[cell]["DPMHBP"]) == {"auc", "auc_budget_permyriad"}
-        assert metrics_snapshot(run_dir)["cells"] == cells
+        for repeat in (0, 1):
+            (entry,) = _marker(run_dir, repeat)["models"]
+            assert entry["name"] == "DPMHBP" and entry["health"] is not None
+            assert set(entry) == {"name", "budget", "auc", "auc_budget_permyriad", "health"}
+            assert isinstance(entry["health"], dict)
+
+    def test_markers_with_thresholds_still_render(self, dpmhbp_grid, tmp_path, capsys):
+        # Older markers record the bands each report was graded with.
+        run_dir = tmp_path / "run"
+        shutil.copytree(dpmhbp_grid[0], run_dir)
+        marker = run_dir / "cells" / "A-r000.json"
+        record = json.loads(marker.read_text())
+        health = record["models"][0]["health"]
+        health["thresholds"] = {
+            "rhat_warn": 1.1, "rhat_fail": 1.3, "ess_warn": 25.0,
+            "ess_fail": 10.0, "geweke_warn": 2.5, "geweke_fail": 4.0,
+        }
+        marker.write_text(json.dumps(record))
+        report = run_report(run_dir)
+        assert report.health["A-r000/DPMHBP"].to_json() == {
+            k: v for k, v in health.items() if k != "thresholds"
+        }
+        assert cli_main(["status", str(run_dir)]) == 0
+        capsys.readouterr()
+        rc = cli_main(["doctor", str(run_dir)])
+        out = capsys.readouterr().out
+        assert rc == cli_main(["doctor", str(dpmhbp_grid[0])])
+        assert out == capsys.readouterr().out.replace(str(dpmhbp_grid[0]), str(run_dir))
+        assert "[A-r000/DPMHBP]" in out

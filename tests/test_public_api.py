@@ -55,14 +55,16 @@ class TestExports:
         import repro.survival
 
     def test_import_stays_light(self):
-        """`import repro` pulls in neither networkx nor scipy.spatial (each costs
-        ~0.1 s and ~10 MB per process, and every pool worker imports repro)."""
+        """`import repro` pulls in none of scipy.spatial, scipy.stats or
+        scipy.optimize (0.1-0.6 s each per process, and every pool worker
+        imports repro); no module of the package needs them."""
         src = str(Path(repro.__file__).resolve().parents[1])
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         probe = (
             "import sys, repro; "
-            "print(sorted(m for m in ('networkx', 'scipy.spatial') if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.spatial', 'scipy.stats', 'scipy.optimize')"
+            " if m in sys.modules))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
