@@ -26,13 +26,13 @@ the final counter/gauge state in Prometheus text exposition format
 Every command shares one parent parser (so flags are declared once):
 ``--scale`` (fraction of paper-scale data, default from
 ``REPRO_SCALE``/0.25), ``--seed``, the parallelism knobs ``--jobs N`` /
-``--executor {serial,threads,processes}`` (exported as
+``--executor {serial,processes}`` (exported as
 ``REPRO_JOBS``/``REPRO_EXECUTOR`` so every fan-out point — DPMHBP chains,
 comparison cells — picks them up; results are identical at any setting),
 and the run-control knobs ``--run-dir`` / ``--resume`` / ``--on-error`` /
-``--retries`` / ``--cell-timeout`` consumed by ``grid`` (see
-:mod:`repro.runs` — a killed grid resumed with ``--resume`` is
-bit-identical to an uninterrupted one).
+``--retries`` consumed by ``grid`` (see :mod:`repro.runs` — a killed
+grid resumed with ``--resume`` is bit-identical to an uninterrupted one;
+that is also how a stuck run is recovered).
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         resume=args.resume,
         on_error=args.on_error,
         retries=args.retries,
-        cell_timeout=args.cell_timeout,
     )
     print(table_18_3(result))
     if args.repeats >= 2:
@@ -189,9 +188,9 @@ def _parent_parser() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "processes"],
         default=None,
-        help="execution backend (default: REPRO_EXECUTOR, or threads when --jobs > 1)",
+        help="execution backend (default: REPRO_EXECUTOR, or processes when --jobs > 1)",
     )
     parent.add_argument(
         "--trace",
@@ -231,12 +230,6 @@ def _parent_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--retries", type=int, default=2, help="extra attempts per cell under retry"
-    )
-    run.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        help="soft per-cell timeout in seconds",
     )
     return parent
 

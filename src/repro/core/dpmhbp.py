@@ -662,8 +662,8 @@ class DPMHBPModel(FailureModel):
         exec_config = resolve_executor(self.jobs, self.executor)
         # One shared bundle for every chain: under a multi-worker process
         # config the arrays are published to shared memory once and each
-        # task pickles only the small handle; serially (or with threads)
-        # the handle degrades to direct references — no copies either way.
+        # task pickles only the small handle; serially the handle
+        # degrades to direct references — no copies either way.
         bundle = shm.publish_bundle(
             {"failures": data.seg_fail_train, "features": features, "init": init},
             config=exec_config if self.n_chains > 1 else None,

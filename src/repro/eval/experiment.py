@@ -316,7 +316,6 @@ def run_comparison(
     resume: str | Path | None = None,
     on_error: str = "raise",
     retries: int = 2,
-    cell_timeout: float | None = None,
 ) -> ComparisonResult:
     """The full Table 18.3/18.4 experiment — fault-tolerant and resumable.
 
@@ -344,12 +343,10 @@ def run_comparison(
       on the first failed cell; ``"skip"`` drops failing cells into
       ``result.failures`` and keeps going; ``"retry"`` gives each cell
       ``retries`` extra attempts with the same seed, then skips.
-    * ``cell_timeout`` — soft per-cell seconds budget; an overrunning cell
-      counts as failed under ``on_error``.
     """
     if n_repeats < 1:
         raise ValueError("need at least one repeat")
-    policy = RunPolicy(on_error=on_error, retries=retries, cell_timeout=cell_timeout)
+    policy = RunPolicy(on_error=on_error, retries=retries)
     specs = [
         CellSpec(
             region=region,

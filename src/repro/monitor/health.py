@@ -47,8 +47,9 @@ RHAT_WARN, RHAT_FAIL = 1.1, 1.3
 ESS_WARN, ESS_FAIL = 25.0, 10.0
 GEWEKE_WARN, GEWEKE_FAIL = 2.5, 4.0
 
-#: Split-R̂ needs this many retained samples per chain; a shorter series
-#: is undiagnosable even when it is constant.
+#: Split-R̂ needs this many retained samples per chain. A shorter series
+#: gets no statistic at all (ESS would just echo its length) and is
+#: undiagnosable even when it is constant.
 MIN_RHAT_SAMPLES = 4
 
 
@@ -301,10 +302,12 @@ class ChainHealth:
                 continue
             n = min(s.size for s in series)
             trimmed = np.stack([s[:n] for s in series])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ess = self._pooled_ess(trimmed)
-                geweke = self._worst_geweke(trimmed)
-                rhat = split_rhat(trimmed) if n >= MIN_RHAT_SAMPLES else float("nan")
+            ess = geweke = rhat = float("nan")
+            if n >= MIN_RHAT_SAMPLES:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ess = self._pooled_ess(trimmed)
+                    geweke = self._worst_geweke(trimmed)
+                    rhat = split_rhat(trimmed)
             verdict, reasons = _classify(trimmed, ess, geweke, rhat)
             quantities[name] = QuantityHealth(
                 name=name,

@@ -5,7 +5,7 @@ in :class:`~repro.core.dpmhbp.DPMHBPModel`, the (region, repeat) cells of
 :func:`~repro.eval.experiment.run_comparison` — goes through the
 :func:`parallel_map` abstraction here, so one config (or the
 ``REPRO_JOBS``/``REPRO_EXECUTOR`` environment variables) switches the
-whole pipeline between serial, threaded and multi-process execution.
+whole pipeline between serial and multi-process execution.
 
 The processes backend builds one context-managed pool per map. Array
 bundles can travel through :mod:`repro.parallel.shm` (published once,

@@ -9,10 +9,10 @@ cost once through this cache.
 
 The cache is process-local and LRU-bounded. Entries are keyed by
 everything that determines the output bit-for-bit: region name, scale,
-seed, pipe-class subset and the full :class:`FeatureConfig` (list/array
-fields normalised to hashable tuples). Callers must treat the returned
-:class:`ModelData` as read-only — and the cache *enforces* it: every
-array is marked non-writeable on insertion, so a model mutating a
+seed, pipe-class subset and the full :class:`FeatureConfig` (its fields
+are bools and ints, so ``astuple`` is hashable). Callers must treat the
+returned :class:`ModelData` as read-only — and the cache *enforces* it:
+every array is marked non-writeable on insertion, so a model mutating a
 feature matrix in place raises ``ValueError`` instead of silently
 corrupting every sibling's cache hit.
 """
@@ -37,28 +37,6 @@ _cache: OrderedDict[tuple, ModelData] = OrderedDict()
 _lock = Lock()
 
 
-def _hashable(value):
-    """Recursively normalise a config value into something hashable.
-
-    ``astuple`` leaves nested lists/dicts/arrays as-is, which crashes the
-    cache key with ``TypeError: unhashable type`` the moment a
-    :class:`FeatureConfig` grows a list-valued field. Lists and tuples
-    become tuples, dicts become sorted item-tuples, arrays are keyed by
-    dtype + shape + bytes.
-    """
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, (list, tuple)):
-        return tuple(_hashable(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted((_hashable(v) for v in value), key=repr)))
-    if isinstance(value, dict):
-        return tuple(
-            (k, _hashable(v)) for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        )
-    return value
-
-
 def _key(
     region: str,
     scale: float | None,
@@ -71,7 +49,7 @@ def _key(
         scale,
         seed,
         pipe_class.name if pipe_class is not None else None,
-        _hashable(astuple(feature_config)) if feature_config is not None else None,
+        astuple(feature_config) if feature_config is not None else None,
     )
 
 

@@ -1,16 +1,14 @@
-"""Executor abstraction: serial, threaded or multi-process fan-out.
+"""Executor abstraction: serial or multi-process fan-out.
 
 :func:`parallel_map` is an order-preserving ``map`` whose backend is
 chosen by an :class:`ExecutorConfig` — built explicitly, or resolved from
 the ``REPRO_JOBS`` (worker count) and ``REPRO_EXECUTOR``
-(``serial``/``threads``/``processes``) environment variables via
+(``serial``/``processes``) environment variables via
 :func:`resolve_executor`.
 
 Backend notes
 -------------
 * ``serial`` — a plain loop; always available, the reference semantics.
-* ``threads`` — ``ThreadPoolExecutor``; effective when the work releases
-  the GIL (NumPy-heavy inner loops) and costs nothing to spawn.
 * ``processes`` — requires the mapped function and its arguments to be
   picklable (module-level functions, plain data). Each map builds its own
   context-managed ``ProcessPoolExecutor`` sized to the work and joins it
@@ -20,8 +18,8 @@ Backend notes
   spawned one reads ``REPRO_TRACE``. Items go one per IPC round-trip,
   since the repo's maps are a few heavy items (grid cells, MCMC chains).
 
-Because every unit of work seeds its own ``np.random.Generator``, all
-three backends produce bit-identical results; the determinism tests in
+Because every unit of work seeds its own ``np.random.Generator``, both
+backends produce bit-identical results; the determinism tests in
 ``tests/test_parallel.py`` enforce this.
 """
 
@@ -30,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
@@ -40,7 +38,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Recognised executor modes (the CLI's ``--executor`` choices).
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,8 @@ def _validate_jobs(jobs: int, source: str) -> None:
     Validating at resolution time (not only in :class:`ExecutorConfig`)
     names the *source* of the bad value — ``REPRO_JOBS=0`` reads very
     differently from a buggy ``jobs=-2`` argument — and guarantees no
-    worker-count ever reaches ``ThreadPoolExecutor``/``ProcessPoolExecutor``
-    (which reject ``max_workers <= 0`` with an opaque crash).
+    worker-count ever reaches ``ProcessPoolExecutor`` (which rejects
+    ``max_workers <= 0`` with an opaque crash).
     """
     if jobs < 1:
         raise ValueError(
@@ -91,9 +89,10 @@ def resolve_executor(
 
     Precedence per field: explicit argument → environment variable →
     default. ``jobs`` defaults to the CPU count whenever a non-serial mode
-    is requested without a count, and mode defaults to ``threads`` whenever
-    a count > 1 is requested without a mode. ``jobs`` must be >= 1 wherever
-    it comes from — there is no "0 = auto" or negative-count convention.
+    is requested without a count, and mode defaults to ``processes``
+    whenever a count > 1 is requested without a mode. ``jobs`` must be
+    >= 1 wherever it comes from — there is no "0 = auto" or
+    negative-count convention.
     """
     if jobs is not None:
         _validate_jobs(jobs, "the jobs argument")
@@ -112,7 +111,7 @@ def resolve_executor(
         mode = _normalise_mode(mode)
 
     if mode is None:
-        mode = "serial" if jobs in (None, 1) else "threads"
+        mode = "serial" if jobs in (None, 1) else "processes"
     if jobs is None:
         jobs = 1 if mode == "serial" else (os.cpu_count() or 1)
     return ExecutorConfig(mode=mode, jobs=jobs)
@@ -126,9 +125,9 @@ def parallel_map(
     """Apply ``fn`` to every item, preserving input order.
 
     The serial path is a plain loop (zero overhead, trivially debuggable).
-    The threads and processes backends build a per-call pool capped at
-    ``len(items)`` workers and shut it down before returning. Worker
-    exceptions propagate to the caller, as they would serially.
+    The processes backend builds a per-call pool capped at ``len(items)``
+    workers and shuts it down before returning. Worker exceptions
+    propagate to the caller, as they would serially.
     """
     config = config or ExecutorConfig()
     work: Sequence[T] = list(items)
@@ -138,11 +137,10 @@ def parallel_map(
         with telemetry.span("parallel.map", mode="serial", jobs=1, items=len(work)):
             return [fn(item) for item in work]
     n_workers = min(config.jobs, len(work))
-    pool_cls = ProcessPoolExecutor if config.mode == "processes" else ThreadPoolExecutor
     with telemetry.span(
         "parallel.map", mode=config.mode, jobs=n_workers, items=len(work)
     ):
-        with pool_cls(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(fn, work))
 
 

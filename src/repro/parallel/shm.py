@@ -21,10 +21,10 @@ Design rules
 * **Unlink-after-map is safe.** POSIX keeps the mapping alive for every
   process that already attached, so the publisher can release right after
   ``parallel_map`` returns even though workers may still hold views.
-* **Serial/threads degrade to direct references.** Publishing under a
-  non-process config returns a *local* handle whose ``resolve`` hands
-  back the original arrays — zero copies, zero syscalls, bit-identical
-  semantics on every backend.
+* **Serial runs degrade to direct references.** Publishing under a
+  serial (or one-worker) config returns a *local* handle whose
+  ``resolve`` hands back the original arrays — zero copies, zero
+  syscalls, bit-identical semantics on every backend.
 
 Fork-safety: the registries record the owning pid. A forked pool worker
 inherits the parent's ``_owned`` dict and may *read* through it (the
@@ -73,7 +73,7 @@ class ShmField:
 class BundleHandle:
     """Small picklable ticket for a published array bundle.
 
-    ``segment is None`` marks a *local* handle (serial/threads): the
+    ``segment is None`` marks a *local* handle (serial): the
     arrays never left this process and :func:`resolve_bundle` returns
     them by reference. Otherwise the handle fully describes the shared
     segment and :func:`resolve_bundle` reconstructs read-only views.

@@ -7,14 +7,14 @@ config-fingerprinted manifest, an append-only JSONL event log, and an
 atomic per-cell checkpoint for every completed (region, repeat) cell. A
 re-invocation with ``resume=<run_dir>`` skips finished cells
 *bit-identically*; failing cells are isolated by :class:`RunPolicy`
-(``on_error="raise"/"skip"/"retry"``, bounded same-seed retries, soft
-per-cell timeouts).
+(``on_error="raise"/"skip"/"retry"``, bounded same-seed retries). A
+stuck run is killed and resumed; there is no per-cell timeout.
 
 Layering: this package owns identity (:class:`CellSpec`), persistence
-(:class:`RunJournal`), policy (:class:`RunPolicy`/:func:`execute_cell`)
-and the timeout guard; the experiment protocol itself stays in
-:mod:`repro.eval.experiment`, and reading a run back is
-:mod:`repro.monitor`'s job (:func:`repro.monitor.run_report`).
+(:class:`RunJournal`) and policy (:class:`RunPolicy`/:func:`execute_cell`);
+the experiment protocol itself stays in :mod:`repro.eval.experiment`,
+and reading a run back is :mod:`repro.monitor`'s job
+(:func:`repro.monitor.run_report`).
 """
 
 from .engine import (
@@ -24,9 +24,7 @@ from .engine import (
     RunPolicy,
     execute_cell,
 )
-from .faults import CancelToken, CellTimeoutError, call_with_timeout
 from .journal import (
-    CellAbandonedError,
     CheckpointCorruptError,
     JournalError,
     RunJournal,
@@ -40,8 +38,6 @@ __all__ = [
     "CellOutcome",
     "RunPolicy",
     "execute_cell",
-    "CellTimeoutError",
-    "call_with_timeout",
     "CheckpointCorruptError",
     "JournalError",
     "RunJournal",

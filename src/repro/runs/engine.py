@@ -2,8 +2,8 @@
 
 :func:`execute_cell` is the unit every journalled grid maps over its
 executor. It never lets a cell's exception escape — each attempt is
-wrapped, timed, optionally guarded by the soft timeout, and the result
-(success or final failure) comes back as a :class:`CellOutcome` envelope.
+wrapped and timed on the caller's thread, and the result (success or
+final failure) comes back as a :class:`CellOutcome` envelope.
 The *caller* decides what a failure means (``on_error="raise"`` re-raises
 at the grid level; ``"skip"`` drops the cell; ``"retry"`` already happened
 here), so a process-pool worker never dies mid-grid and one bad cell can
@@ -17,11 +17,8 @@ draws the region again until it has one
 
 Completed cells are checkpointed from inside the worker (not after the
 grid joins), which is what makes a killed run resumable: everything that
-finished before the kill is already on disk. The checkpoint runs inside
-the timeout-guarded attempt and is suppressed once the attempt's
-:class:`~repro.runs.faults.CancelToken` is cancelled, so a timed-out cell
-that finishes late in its abandoned daemon thread can no longer record
-itself as completed after the grid marked it failed.
+finished before the kill is already on disk. A stuck cell is handled
+the same way: kill the run and resume it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .. import telemetry
-from .faults import CancelToken, call_with_timeout
 from .journal import RunJournal
 from .spec import CellSpec
 
@@ -49,7 +45,6 @@ class RunPolicy:
 
     on_error: str = "raise"
     retries: int = 2  # extra attempts per cell when on_error == "retry"
-    cell_timeout: float | None = None  # soft, seconds
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_MODES:
@@ -58,8 +53,6 @@ class RunPolicy:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(f"cell_timeout must be positive, got {self.cell_timeout}")
 
     @property
     def attempts(self) -> int:
@@ -122,34 +115,14 @@ def execute_cell(
             journal.log_event(
                 "cell_started", cell=cell_id, attempt=attempt, seed=spec.seed
             )
-        # Fresh token per attempt: timing out attempt N must not poison a
-        # clean attempt N+1 of the same cell.
-        token = CancelToken()
-
-        def _attempt(
-            attempt_now: int = attempt,
-            token: CancelToken = token,
-        ) -> "RegionRun":
-            with telemetry.span("cell.compute", cell=cell_id, attempt=attempt_now):
-                run = compute(spec)
-            # Worker-side checkpoint (what makes a killed run resumable) —
-            # but only while the grid is still waiting on this attempt. An
-            # abandoned (timed-out) body that finishes late must not plant
-            # a completion marker over the failure the grid recorded;
-            # ``save_cell`` re-checks the token before the marker lands.
-            if journal is not None and not token.cancelled:
-                with telemetry.span("cell.checkpoint", cell=cell_id):
-                    journal.save_cell(
-                        spec,
-                        run,
-                        attempts=attempt_now,
-                        abandoned=lambda: token.cancelled,
-                    )
-            return run
-
         try:
             with telemetry.span("cell.attempt", cell=cell_id, attempt=attempt):
-                run = call_with_timeout(_attempt, policy.cell_timeout, cancel=token)
+                with telemetry.span("cell.compute", cell=cell_id, attempt=attempt):
+                    run = compute(spec)
+                # Worker-side checkpoint: what makes a killed run resumable.
+                if journal is not None:
+                    with telemetry.span("cell.checkpoint", cell=cell_id):
+                        journal.save_cell(spec, run, attempts=attempt)
         except Exception as exc:  # noqa: BLE001 — envelope, never a bare raise
             last_error = exc
             telemetry.count("cell.failures")

@@ -24,7 +24,7 @@ uninterrupted run.
 
 The event log is observability, not state: recovery never reads it. Each
 line is one JSON object appended with a single ``write`` call, so
-concurrent workers (thread or process pools) interleave whole lines.
+concurrent pool workers interleave whole lines.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import tempfile
 import zipfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class JournalError(RuntimeError):
 
 class CheckpointCorruptError(JournalError):
     """A cell checkpoint exists but cannot be trusted (recompute the cell)."""
-
-
-class CellAbandonedError(JournalError):
-    """A checkpoint was suppressed because its cell was abandoned (timed out)."""
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -209,7 +205,6 @@ class RunJournal:
         spec: CellSpec,
         run: "RegionRun",
         attempts: int = 1,
-        abandoned: Callable[[], bool] | None = None,
     ) -> None:
         """Atomically checkpoint one completed cell.
 
@@ -217,19 +212,8 @@ class RunJournal:
         the ``.npz``; metrics, each model's convergence report (when it
         has one) and the npz checksum into the ``.json``, which lands last
         and marks completion.
-
-        ``abandoned`` (e.g. a timeout :class:`~repro.runs.faults.CancelToken`'s
-        ``cancelled``) is re-checked right before each write: a cell body
-        the grid has already given up on must not plant a completion
-        marker that contradicts the recorded failure — the npz write is
-        the slow part of a checkpoint, so the pre-marker check closes most
-        of the window a single entry check would leave open.
         """
         npz_path, json_path, failed_path = self._cell_paths(spec.cell_id)
-        if abandoned is not None and abandoned():
-            raise CellAbandonedError(
-                f"cell {spec.cell_id}: abandoned by its grid; checkpoint suppressed"
-            )
         arrays: dict[str, np.ndarray] = {
             "labels": run.labels,
             "pipe_lengths": run.pipe_lengths,
@@ -239,11 +223,6 @@ class RunJournal:
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         _atomic_write_bytes(npz_path, buffer.getvalue())
-        if abandoned is not None and abandoned():
-            npz_path.unlink(missing_ok=True)
-            raise CellAbandonedError(
-                f"cell {spec.cell_id}: abandoned mid-checkpoint; completion marker withheld"
-            )
         record = {
             "format": JOURNAL_FORMAT,
             "cell_id": spec.cell_id,

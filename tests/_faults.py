@@ -1,23 +1,20 @@
 """Deterministic fault injection for the fault-tolerance tests.
 
-:class:`FaultInjector` kills or slows down chosen experiment cells on
-purpose. It carries a plan keyed by :attr:`CellSpec.cell_id` and counts
-its trips in ``state_dir`` *files*, so a plan with ``times=N`` charges
-survive a fresh injector over the same directory. It is inert for every
-cell not named in its plan.
+:class:`FaultInjector` kills chosen experiment cells on purpose. It
+carries a plan keyed by :attr:`CellSpec.cell_id` and counts its trips in
+``state_dir`` *files*, so a plan with ``times=N`` charges survive a fresh
+injector over the same directory. It is inert for every cell not named
+in its plan.
 
 The injector reaches production code through one seam: :meth:`wrap`
-turns a cell ``compute`` into one that trips the plan first. Tests hand
-the wrapped compute to :func:`repro.runs.execute_cell` directly, or
+turns a cell ``compute`` into one that trips the plan first. Tests
 monkeypatch ``repro.eval.experiment._comparison_cell`` with it (see
 :func:`inject`) and run the grid serially, so the patched function is the
-one every cell calls. The trip runs inside the engine's timeout guard,
-so a ``"sleep"`` fault is subject to the soft timeout too.
+one every cell calls.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -25,7 +22,7 @@ from typing import Callable
 from repro.eval import experiment
 
 #: Recognised fault kinds.
-FAULT_KINDS = ("raise", "sleep")
+FAULT_KINDS = ("raise",)
 
 
 class InjectedFault(RuntimeError):
@@ -36,11 +33,8 @@ class InjectedFault(RuntimeError):
 class FaultSpec:
     """One planned fault: what happens and for how many attempts.
 
-    ``kind``:
-
-    * ``"raise"`` — raise :class:`InjectedFault` (simulates a crashed cell);
-    * ``"sleep"`` — stall for ``delay`` seconds (simulates a straggler, for
-      exercising the soft timeout).
+    The one ``kind``, ``"raise"``, raises :class:`InjectedFault`
+    (simulates a crashed cell).
 
     ``times`` bounds how many attempts the fault affects; after that the
     cell runs clean, which is what lets ``on_error="retry"`` tests converge.
@@ -48,7 +42,6 @@ class FaultSpec:
 
     kind: str = "raise"
     times: int = 1
-    delay: float = 0.0
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
@@ -89,9 +82,6 @@ class FaultInjector:
             return
         Path(self.state_dir).mkdir(parents=True, exist_ok=True)
         self._count_path(cell_id).write_text(str(used + 1))
-        if spec.kind == "sleep":
-            time.sleep(spec.delay)
-            return
         raise InjectedFault(f"{spec.message} (cell {cell_id})")
 
     def reset(self) -> None:

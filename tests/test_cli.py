@@ -23,12 +23,15 @@ class TestParser:
         assert args.budget == 0.02
 
     def test_jobs_and_executor_flags(self):
-        args = build_parser().parse_args(["summary", "--jobs", "4", "--executor", "threads"])
+        args = build_parser().parse_args(["summary", "--jobs", "4", "--executor", "processes"])
         assert args.jobs == 4
-        assert args.executor == "threads"
+        assert args.executor == "processes"
         # Unset by default so env/serial resolution applies downstream.
         defaults = build_parser().parse_args(["summary"])
         assert defaults.jobs is None and defaults.executor is None
+        with pytest.raises(SystemExit) as exc:
+            main(["summary", "--executor", "threads"])
+        assert exc.value.code == 2
 
     def test_executor_choice_validated(self):
         with pytest.raises(SystemExit):
@@ -50,7 +53,6 @@ class TestParser:
                 "--run-dir", "runs/exp1",
                 "--on-error", "retry",
                 "--retries", "1",
-                "--cell-timeout", "30",
             ]
         )
         assert args.regions == ["A", "B"]
@@ -58,7 +60,7 @@ class TestParser:
         assert str(args.run_dir) == "runs/exp1"
         assert args.on_error == "retry"
         assert args.retries == 1
-        assert args.cell_timeout == 30.0
+        assert not hasattr(args, "cell_timeout")
 
     def test_grid_on_error_choice_validated(self):
         with pytest.raises(SystemExit):

@@ -193,6 +193,16 @@ class TestChainHealth:
         assert np.isnan(q.rhat)
         assert np.isnan(q.geweke_z)  # < MIN_GEWEKE_SAMPLES too
 
+    def test_short_varying_series_is_undiagnosable_not_failed_on_ess(self):
+        # ESS of a 3-sample series would just echo its length (3 < ESS_FAIL).
+        health = ChainHealth()
+        health.ingest_chain({"x": [1.0, 2.0, 1.5]})
+        report = health.report()
+        q = report.quantities["x"]
+        assert q.verdict == "undiagnosable" and q.reasons == ()
+        assert np.isnan(q.ess)
+        assert report.verdict == "undiagnosable"
+
     def test_report_publishes_summary_gauges(self):
         rec = telemetry.configure(enabled=True)
         health = ChainHealth()

@@ -1,9 +1,8 @@
 """Parallel execution layer: config resolution, caching, and the core
-guarantee — serial, threaded and multi-process execution are bit-identical
-for fixed seeds, both for DPMHBP chains and for ``run_comparison`` cells."""
+guarantee — serial and multi-process execution are bit-identical for
+fixed seeds, both for DPMHBP chains and for ``run_comparison`` cells."""
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from repro.core.dpmhbp import DPMHBPModel
 from repro.core.survival_models import CoxPHModel
 from repro.eval.experiment import prepare_region_data, run_comparison
-from repro.features.builder import FeatureConfig
 from repro.parallel import (
     ExecutorConfig,
     cached_model_data,
@@ -20,12 +18,17 @@ from repro.parallel import (
     resolve_executor,
 )
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 
 def _square(x):
     """Module-level so process pools can pickle it."""
     return x * x
+
+
+def _reciprocal(x):
+    """Module-level so process pools can pickle it."""
+    return 1 // x
 
 
 def _nested_squares(n):
@@ -56,25 +59,30 @@ class TestExecutorConfig:
         config = resolve_executor()
         assert config.is_serial
 
-    def test_env_jobs_implies_threads(self, monkeypatch):
+    def test_env_jobs_implies_processes(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         config = resolve_executor()
-        assert config.mode == "threads"
+        assert config.mode == "processes"
         assert config.jobs == 3
 
+    def test_jobs_argument_implies_processes(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        assert resolve_executor(jobs=2) == ExecutorConfig(mode="processes", jobs=2)
+
     def test_env_mode_aliases(self, monkeypatch):
-        """Only the CLI's three spellings are modes; old aliases are rejected."""
-        for alias in ("sync", "thread", "process", "fork"):
+        """Only the CLI's two spellings are modes; other names are rejected."""
+        for alias in ("sync", "thread", "threads", "process", "fork"):
             monkeypatch.setenv("REPRO_EXECUTOR", alias)
-            with pytest.raises(ValueError, match="'serial', 'threads', 'processes'"):
+            with pytest.raises(ValueError, match="'serial', 'processes'"):
                 resolve_executor()
-            with pytest.raises(ValueError, match="'serial', 'threads', 'processes'"):
+            with pytest.raises(ValueError, match="'serial', 'processes'"):
                 resolve_executor(mode=alias)
 
     def test_explicit_args_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
+        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
         config = resolve_executor(jobs=2, mode="serial")
         assert config == ExecutorConfig(mode="serial", jobs=2)
 
@@ -93,7 +101,7 @@ class TestExecutorConfig:
 
     def test_explicit_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match=r"got -2"):
-            resolve_executor(jobs=-2, mode="threads")
+            resolve_executor(jobs=-2, mode="processes")
 
     def test_env_zero_jobs_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
@@ -113,11 +121,11 @@ class TestParallelMap:
         assert parallel_map(_square, range(9), config) == [x * x for x in range(9)]
 
     def test_empty_input(self):
-        assert parallel_map(_square, [], ExecutorConfig(mode="threads", jobs=2)) == []
+        assert parallel_map(_square, [], ExecutorConfig(mode="processes", jobs=2)) == []
 
     def test_exceptions_propagate(self):
         with pytest.raises(ZeroDivisionError):
-            parallel_map(lambda x: 1 // x, [1, 0], ExecutorConfig(mode="threads", jobs=2))
+            parallel_map(_reciprocal, [1, 0], ExecutorConfig(mode="processes", jobs=2))
 
     def test_nested_process_maps_return(self):
         """A processes map inside a processes worker completes and joins.
@@ -137,42 +145,6 @@ class TestParallelMap:
         runner.join(timeout=120)
         assert not runner.is_alive(), "nested process maps did not return"
         assert out == [[[x * x for x in range(n)] for n in (2, 3, 4)]]
-
-
-@dataclass
-class _ListyFeatureConfig(FeatureConfig):
-    """A config variant with an unhashable (list-valued) field.
-
-    ``astuple`` keeps the list as-is; the cache key must normalise it
-    instead of crashing with ``TypeError: unhashable type: 'list'``.
-    """
-
-    extra_columns: tuple = ()
-    column_list: list = field(default_factory=lambda: ["soil_ph", "traffic"])
-
-
-class TestCacheKeyNormalisation:
-    def test_list_valued_config_field_is_cacheable(self):
-        clear_model_data_cache()
-        config = _ListyFeatureConfig()
-        a = cached_model_data("A", scale=0.05, seed=9, feature_config=config)
-        b = cached_model_data(
-            "A", scale=0.05, seed=9, feature_config=_ListyFeatureConfig()
-        )
-        assert a is b
-
-    def test_different_list_contents_miss(self):
-        clear_model_data_cache()
-        a = cached_model_data(
-            "A", scale=0.05, seed=9, feature_config=_ListyFeatureConfig()
-        )
-        b = cached_model_data(
-            "A",
-            scale=0.05,
-            seed=9,
-            feature_config=_ListyFeatureConfig(column_list=["soil_ph"]),
-        )
-        assert a is not b
 
 
 class TestRegionCache:
@@ -233,7 +205,7 @@ class TestChainDeterminism:
             results[mode] = model.fit(small_model_data)
         return results
 
-    @pytest.mark.parametrize("mode", ["threads", "processes"])
+    @pytest.mark.parametrize("mode", ["processes"])
     def test_identical_to_serial(self, fits, mode):
         serial, parallel = fits["serial"], fits[mode]
         assert np.array_equal(serial.posterior_.rho_mean, parallel.posterior_.rho_mean)
@@ -260,7 +232,7 @@ class TestComparisonDeterminism:
             )
         return results
 
-    @pytest.mark.parametrize("mode", ["threads", "processes"])
+    @pytest.mark.parametrize("mode", ["processes"])
     def test_identical_to_serial(self, comparisons, mode):
         serial, parallel = comparisons["serial"], comparisons[mode]
         assert serial.regions == parallel.regions
@@ -278,9 +250,8 @@ class TestComparisonDeterminism:
     def test_rho_identical_across_executors(self, comparisons):
         """Raw DPMHBP scores (not just AUC) match bit-for-bit."""
         serial_run = comparisons["serial"].runs["A"][0]
-        for mode in ("threads", "processes"):
-            parallel_run = comparisons[mode].runs["A"][0]
-            assert np.array_equal(
-                serial_run.evaluations["DPMHBP"].scores,
-                parallel_run.evaluations["DPMHBP"].scores,
-            )
+        parallel_run = comparisons["processes"].runs["A"][0]
+        assert np.array_equal(
+            serial_run.evaluations["DPMHBP"].scores,
+            parallel_run.evaluations["DPMHBP"].scores,
+        )

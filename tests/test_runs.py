@@ -10,7 +10,6 @@ The two acceptance properties the suite pins down:
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -23,18 +22,12 @@ from repro.eval.experiment import (
 )
 from repro.parallel import ExecutorConfig, safe_parallel_map
 from repro.runs import (
-    CancelToken,
-    CellAbandonedError,
     CellExecutionError,
     CellSpec,
-    CellTimeoutError,
     CheckpointCorruptError,
     JournalError,
     RunJournal,
-    RunPolicy,
-    call_with_timeout,
     config_fingerprint,
-    execute_cell,
 )
 
 from ._faults import FaultInjector, FaultSpec, InjectedFault, inject
@@ -237,111 +230,6 @@ class TestFaultInjector:
             FaultSpec(times=0)
 
 
-class TestCallWithTimeout:
-    def test_passthrough_without_timeout(self):
-        assert call_with_timeout(lambda: 7, None) == 7
-
-    def test_times_out(self):
-        with pytest.raises(CellTimeoutError):
-            call_with_timeout(lambda: time.sleep(5), timeout=0.05)
-
-    def test_propagates_exceptions(self):
-        def boom():
-            raise KeyError("x")
-
-        with pytest.raises(KeyError):
-            call_with_timeout(boom, timeout=5.0)
-
-    def test_timeout_cancels_token_before_raising(self):
-        token = CancelToken()
-        with pytest.raises(CellTimeoutError):
-            call_with_timeout(lambda: time.sleep(5), timeout=0.05, cancel=token)
-        assert token.cancelled
-
-    def test_success_leaves_token_clear(self):
-        token = CancelToken()
-        assert call_with_timeout(lambda: 3, timeout=5.0, cancel=token) == 3
-        assert not token.cancelled
-
-    def test_cancel_token_is_sticky(self):
-        token = CancelToken()
-        assert not token.cancelled
-        token.cancel()
-        token.cancel()  # idempotent
-        assert token.cancelled
-
-
-def _instant_run(spec):
-    """Module-level compute for execute_cell tests (fast, deterministic)."""
-    return _make_region_run(seed=spec.seed or 0)
-
-
-class TestAbandonedCheckpointGuard:
-    """A timed-out cell's daemon thread must never checkpoint as completed."""
-
-    def test_save_cell_refuses_abandoned_at_entry(self, tmp_path):
-        journal = RunJournal.create(tmp_path / "run", {})
-        spec = CellSpec(region="A", repeat=0)
-        with pytest.raises(CellAbandonedError, match="suppressed"):
-            journal.save_cell(spec, _make_region_run(), abandoned=lambda: True)
-        assert not journal.cell_done("A-r000")
-        assert not list((tmp_path / "run" / "cells").glob("A-r000.*"))
-
-    def test_mid_checkpoint_abandonment_withholds_marker(self, tmp_path):
-        journal = RunJournal.create(tmp_path / "run", {})
-        spec = CellSpec(region="A", repeat=0)
-        # Entry check passes; the re-check before the completion marker trips
-        # (the grid abandoned the cell while the npz was being written).
-        flips = iter([False, True])
-        with pytest.raises(CellAbandonedError, match="marker withheld"):
-            journal.save_cell(spec, _make_region_run(), abandoned=lambda: next(flips))
-        assert not journal.cell_done("A-r000")
-        assert not (tmp_path / "run" / "cells" / "A-r000.npz").exists()
-
-    def test_save_cell_without_guard_unchanged(self, tmp_path):
-        journal = RunJournal.create(tmp_path / "run", {})
-        spec = CellSpec(region="A", repeat=0)
-        journal.save_cell(spec, _make_region_run(), abandoned=lambda: False)
-        assert journal.cell_done("A-r000")
-
-    def test_timed_out_cell_cannot_complete_late(self, tmp_path):
-        """Regression for the timeout/checkpoint race: the abandoned body
-        finishes in the background but must not flip failed → done."""
-        injector = FaultInjector(
-            state_dir=str(tmp_path / "faults"),
-            plan={"A-r000": FaultSpec(kind="sleep", times=5, delay=0.4)},
-        )
-        policy = RunPolicy(on_error="skip", cell_timeout=0.05)
-        journal = RunJournal.create(tmp_path / "run", {})
-        spec = CellSpec(region="A", repeat=0, seed=0)
-        compute = injector.wrap(_instant_run)
-        outcome = execute_cell((spec, compute, str(tmp_path / "run"), policy))
-        assert not outcome.ok
-        assert outcome.error_type == "CellTimeoutError"
-        assert "A-r000" in journal.failed_cells()
-        # Give the abandoned daemon thread ample time to wake up and finish …
-        time.sleep(0.8)
-        # … the failure verdict must stand: no late completion marker.
-        assert not journal.cell_done("A-r000")
-        assert "A-r000" in journal.failed_cells()
-
-    def test_retry_after_timeout_still_checkpoints(self, tmp_path):
-        """A fresh attempt of the same cell is not poisoned by the old token."""
-        injector = FaultInjector(
-            state_dir=str(tmp_path / "faults"),
-            plan={"A-r000": FaultSpec(kind="sleep", times=1, delay=0.4)},
-        )
-        policy = RunPolicy(on_error="retry", retries=1, cell_timeout=0.05)
-        journal = RunJournal.create(tmp_path / "run", {})
-        spec = CellSpec(region="A", repeat=0, seed=0)
-        compute = injector.wrap(_instant_run)
-        outcome = execute_cell((spec, compute, str(tmp_path / "run"), policy))
-        assert outcome.ok and outcome.attempts == 2
-        assert journal.cell_done("A-r000")
-        time.sleep(0.8)  # the first attempt's straggler changes nothing
-        assert journal.cell_done("A-r000")
-
-
 class TestGridFaultTolerance:
     @pytest.fixture(scope="class")
     def clean(self):
@@ -386,18 +274,6 @@ class TestGridFaultTolerance:
         assert len(result.runs["A"]) == 2
         assert [o.spec.cell_id for o in result.failures] == ["A-r001"]
         assert result.failures[0].error_type == "InjectedFault"
-
-    def test_soft_timeout_with_retry(self, tmp_path, monkeypatch):
-        injector = FaultInjector(
-            state_dir=str(tmp_path / "faults"),
-            plan={"A-r000": FaultSpec(kind="sleep", times=1, delay=30.0)},
-        )
-        inject(monkeypatch, injector)
-        result = _grid(on_error="retry", cell_timeout=4.0, run_dir=tmp_path / "run")
-        assert not result.failures
-        events = RunJournal.open(tmp_path / "run").events()
-        timeouts = [e for e in events if e.get("error_type") == "CellTimeoutError"]
-        assert len(timeouts) == 1
 
     def test_resume_rejects_changed_config(self, tmp_path):
         _grid(n_repeats=2, run_dir=tmp_path / "run")
