@@ -11,13 +11,13 @@ from .crp import (
 )
 from .distributions import (
     bernoulli_loglik,
-    beta_binomial_logmarginal,
+    beta_binomial_at,
+    beta_binomial_table,
     beta_logpdf,
     beta_mean_concentration,
     clip_unit,
     gaussian_logpdf,
     gaussian_marginal_logpdf_sum,
-    log_factorial,
 )
 
 __all__ = [
@@ -29,11 +29,11 @@ __all__ = [
     "sample_partition",
     "table_counts",
     "bernoulli_loglik",
-    "beta_binomial_logmarginal",
+    "beta_binomial_at",
+    "beta_binomial_table",
     "beta_logpdf",
     "beta_mean_concentration",
     "clip_unit",
     "gaussian_logpdf",
     "gaussian_marginal_logpdf_sum",
-    "log_factorial",
 ]

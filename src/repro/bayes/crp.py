@@ -9,7 +9,6 @@ count (useful for choosing the concentration ``α``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def sample_partition(n: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -56,6 +55,8 @@ def log_eppf(counts: np.ndarray, alpha: float) -> float:
     ``α^K · Π_k (n_k − 1)! · Γ(α) / Γ(α + n)``. Invariant to customer
     order — the exchangeability property the paper leans on.
     """
+    from scipy.special import gammaln  # here, not at import: no grid needs it
+
     _check_alpha(alpha)
     counts = np.asarray(counts, dtype=float)
     counts = counts[counts > 0]

@@ -91,8 +91,17 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     )
     print(table_18_3(result))
     if args.repeats >= 2:
-        print()
-        print(table_18_4(result))
+        # A region left with one completed cell has no pair to test.
+        paired = [region for region, runs in result.runs.items() if len(runs) >= 2]
+        if paired:
+            print()
+            print(table_18_4(result, regions=paired))
+        unpaired = [region for region in result.regions if region not in paired]
+        if unpaired:
+            print(
+                f"\nTable 18.4 omits region(s) {', '.join(unpaired)}: "
+                "fewer than two completed cells to pair"
+            )
     if result.failures:
         print(
             f"\n{len(result.failures)} cell(s) failed and were skipped: "

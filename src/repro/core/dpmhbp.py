@@ -32,8 +32,9 @@ The implementation keeps the sequential CRP scan (Algorithm 8 is
 inherently one-segment-at-a-time) but takes every numpy call it can out
 of the per-segment step. Within a sweep a candidate's log-weight changes
 only through its cluster's live size: the Beta–Binomial term, the feature
-term and the auxiliary clusters' weights (one ``betaln`` call over all
-``n_aux`` candidates of every segment) are fixed until the cluster count
+term and the auxiliary clusters' weights (one pass over all ``n_aux``
+candidates of every segment, a product of rising factorials per group of
+segments with equal failure counts) are fixed until the cluster count
 changes. So the scan scores a window of upcoming steps at once — the
 existing clusters' Beta–Binomial columns plus one ``feats @ mu.T``
 product per window, then the auxiliaries — and adds the window's Gumbel
@@ -71,10 +72,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln
 
 from .. import telemetry
-from ..bayes.distributions import beta_logpdf
+from ..bayes.distributions import beta_binomial_at, beta_binomial_table, beta_logpdf
 from ..features.builder import ModelData
 from ..inference.metropolis import AdaptiveScale, metropolis_probability_steps
 from ..ml.glm import PoissonRegression
@@ -82,11 +82,6 @@ from ..monitor.health import ChainHealth, HealthReport
 from ..parallel import shm
 from ..parallel.executor import parallel_map, resolve_executor
 from .base import FailureModel
-
-
-def _betaln_scalar(a: float, b: float) -> float:
-    """Scalar ``betaln`` via ``math.lgamma`` — far cheaper than the ufunc."""
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 #: Target size of one window of the CRP scan: its perturbed candidate
@@ -194,7 +189,7 @@ class DPMHBPPosterior:
 class _ClusterState:
     """Mutable cluster bookkeeping for the Gibbs sweeps."""
 
-    def __init__(self, c_group: float, m: float, d: int):
+    def __init__(self, c_group: float, m: int, d: int):
         self.c = c_group
         self.m = m
         self.d = d
@@ -202,7 +197,6 @@ class _ClusterState:
         self.mu: list[np.ndarray] = []
         self.count: list[int] = []
         self.bb_table: list[np.ndarray] = []  # (m+1,) per cluster
-        self._s_grid = np.arange(m + 1.0)
 
     @property
     def k(self) -> int:
@@ -210,10 +204,7 @@ class _ClusterState:
 
     def bb_columns(self, q: np.ndarray) -> np.ndarray:
         """Beta–Binomial log marginals for s = 0..m, one row per rate in ``q``."""
-        s = self._s_grid
-        a = self.c * q[:, None]
-        b = self.c * (1.0 - q[:, None])
-        return betaln(a + s, b + self.m - s) - betaln(a, b)
+        return beta_binomial_table(self.c * q, self.c * (1.0 - q), self.m)
 
     def add(self, q: float, mu: np.ndarray, count: int = 0) -> int:
         self.q.append(float(q))
@@ -229,7 +220,7 @@ class _ClusterState:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bb (m+1, K), mu (K, d), ‖mu‖² (K,)) as arrays."""
         k = self.k
-        bb = np.asarray(self.bb_table).reshape(k, self._s_grid.size)
+        bb = np.asarray(self.bb_table).reshape(k, self.m + 1)
         mu = np.asarray(self.mu).reshape(k, self.d)
         return bb.T.copy(), mu, np.sum(mu**2, axis=1)
 
@@ -323,7 +314,7 @@ class DPMHBP:
         tau2 = 1.0  # prior variance of cluster feature means
 
         rng = np.random.default_rng(self.seed)
-        state = _ClusterState(self.c_group, m, d)
+        state = _ClusterState(self.c_group, n_years, d)
 
         # Initialise from the provided seed partition, or a coarse random one.
         # Either way, relabel to contiguous ids so no initial cluster is
@@ -360,7 +351,10 @@ class DPMHBP:
         a0 = self.c0 * self.q0
         b0 = self.c0 * (1.0 - self.q0)
         sqrt_tau = math.sqrt(tau2)
-        s_f = s.astype(float)
+        # A segment's failure count is fixed for the whole fit, so the
+        # segments are grouped by count once and every sweep scores its
+        # auxiliary candidates one count group at a time.
+        count_groups = [(int(v), np.flatnonzero(s == v)) for v in np.unique(s)]
         # ``math.log`` of every cluster size the scan can reach.
         log_table = [-math.inf] + [math.log(n) for n in range(1, n_seg + 1)]
 
@@ -375,11 +369,12 @@ class DPMHBP:
             aux_mu_all = rng.normal(0.0, sqrt_tau, (n_seg, self.n_aux, d))
             a_aux = self.c_group * aux_q_all
             b_aux = self.c_group - a_aux
-            aux_base = (
-                log_alpha_aux
-                + betaln(a_aux + s_f[:, None], b_aux + (m - s_f)[:, None])
-                - betaln(a_aux, b_aux)
-            )
+            aux_base = np.empty((n_seg, self.n_aux))
+            for count, members in count_groups:
+                aux_base[members] = beta_binomial_at(
+                    a_aux[members], b_aux[members], count, n_years
+                )
+            aux_base += log_alpha_aux
             if use_features:
                 # ‖feats_l‖² is common to every candidate (existing and
                 # auxiliary) and cannot move the draw, so both weight
@@ -447,11 +442,8 @@ class DPMHBP:
                             aux_mu[0] = mu_s
                             a_s = self.c_group * q_s
                             b_s = self.c_group * (1.0 - q_s)
-                            sl = float(s[l])
-                            w0 = (
-                                log_alpha_aux
-                                + _betaln_scalar(a_s + sl, b_s + (m - sl))
-                                - _betaln_scalar(a_s, b_s)
+                            w0 = log_alpha_aux + float(
+                                beta_binomial_at(a_s, b_s, int(s[l]), n_years)
                             )
                             if use_features:
                                 w0 += (
@@ -525,7 +517,7 @@ class DPMHBP:
             # independent, so every current and proposed rate is scored in
             # one batch.
             k_tot = state.k
-            n_bins = int(m) + 1
+            n_bins = n_years + 1
             hist = np.bincount(z * n_bins + s, minlength=k_tot * n_bins)
             hist = hist.reshape(k_tot, n_bins).astype(float)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bayes.distributions import beta_binomial_logmarginal, beta_logpdf
+from ..bayes.distributions import beta_binomial_table, beta_logpdf
 from ..features.builder import ModelData
 from ..inference.metropolis import AdaptiveScale, metropolis_probability_steps
 from ..ml.glm import PoissonRegression
@@ -84,15 +84,12 @@ def fit_hbp(
     # Beta–Binomial column at its rate: O(m) per target, whatever the
     # group's size, and an empty group scores its prior alone.
     n_bins = n_years + 1
-    s_grid = np.arange(m + 1.0)
     hist = np.bincount(groups * n_bins + s, minlength=n_groups * n_bins)
     hist = hist.reshape(n_groups, n_bins).astype(float)
 
     def log_targets(p: np.ndarray, rows: np.ndarray) -> list[float]:
         """Log target of rate ``p[i]`` for group ``rows[i]``."""
-        cols = beta_binomial_logmarginal(
-            s_grid, m, c_group * p[:, None], c_group * (1.0 - p[:, None])
-        )
+        cols = beta_binomial_table(c_group * p, c_group * (1.0 - p), n_years)
         lik = np.einsum("ij,ij->i", hist[rows], cols)
         return (beta_logpdf(p, a0, b0) + lik).tolist()
 

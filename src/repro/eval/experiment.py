@@ -430,6 +430,8 @@ def run_comparison(
         )
         del runs[region]
     if not runs:
+        if journal is not None:
+            journal.log_event("run_aborted", failed=failures[0].spec.cell_id)
         raise CellExecutionError(failures[0])
     if failures:
         warnings.warn(

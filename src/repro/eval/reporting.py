@@ -67,13 +67,20 @@ def table_18_3(result: ComparisonResult, models: Sequence[str] | None = None) ->
 
 
 def table_18_4(
-    result: ComparisonResult, reference: str = "DPMHBP", models: Sequence[str] | None = None
+    result: ComparisonResult,
+    reference: str = "DPMHBP",
+    models: Sequence[str] | None = None,
+    regions: Sequence[str] | None = None,
 ) -> str:
-    """Paired t statistics (one-sided, reference beats other) per region."""
+    """Paired t statistics (one-sided, reference beats other) per region.
+
+    ``regions`` defaults to every region of ``result``; each needs at
+    least two completed repeats to pair.
+    """
     models = [m for m in (models or result.model_names()) if m != reference]
     rows = []
     for metric, label in (("auc", "AUC(100%)"), ("budget", "AUC(1%)")):
-        for region in result.regions:
+        for region in regions or result.regions:
             row = [f"{label} {region}"]
             for m in models:
                 t = result.t_test(region, reference, m, metric=metric)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,8 @@ class TTestResult:
 
 def t_sf(t: float, df: int) -> float:
     """Survival function of Student's t (P[T > t]) via incomplete beta."""
+    from scipy.special import betainc  # here, not at import: no grid needs it
+
     if df < 1:
         raise ValueError("df must be >= 1")
     x = df / (df + t * t)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.special import gammainc
-
 
 def _validate(
     exit_time: np.ndarray, event: np.ndarray, entry_time: np.ndarray | None
@@ -121,6 +119,8 @@ class LogRankResult:
 
 def chi2_sf(x: float, df: int) -> float:
     """Chi-squared survival function via the regularised lower gamma."""
+    from scipy.special import gammainc  # here, not at import: no grid needs it
+
     if df < 1:
         raise ValueError("df must be >= 1")
     if x <= 0:

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betaln
 
-from repro.bayes.distributions import beta_binomial_logmarginal, beta_logpdf
+from repro.bayes.distributions import beta_binomial_table, beta_logpdf
 from repro.core.dpmhbp import DPMHBP, DPMHBPPosterior
 from repro.core.hbp import HBPPosterior
 from repro.inference.metropolis import AdaptiveScale, metropolis_probability_step
@@ -27,12 +26,8 @@ from repro.ml.glm import PoissonRegression
 from repro.survival.weibull import WeibullNHPP, _weibull_exposure
 
 
-def _betaln_scalar(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 class _ClusterState:
-    def __init__(self, c_group: float, m: float, d: int):
+    def __init__(self, c_group: float, m: int, d: int):
         self.c = c_group
         self.m = m
         self.d = d
@@ -40,17 +35,13 @@ class _ClusterState:
         self.mu: list[np.ndarray] = []
         self.count: list[int] = []
         self.bb_table: list[np.ndarray] = []
-        self._s_grid = np.arange(m + 1.0)
 
     @property
     def k(self) -> int:
         return len(self.q)
 
     def bb_column(self, q: float) -> np.ndarray:
-        s = self._s_grid
-        a = self.c * q
-        b = self.c * (1.0 - q)
-        return betaln(a + s, b + self.m - s) - betaln(a, b)
+        return beta_binomial_table(self.c * q, self.c * (1.0 - q), self.m)
 
     def add(self, q: float, mu: np.ndarray, count: int = 0) -> int:
         self.q.append(float(q))
@@ -101,7 +92,7 @@ def reference_dpmhbp_fit(
     tau2 = 1.0
 
     rng = np.random.default_rng(self.seed)
-    state = _ClusterState(self.c_group, m, d)
+    state = _ClusterState(self.c_group, n_years, d)
     if init_labels is not None:
         z = np.asarray(init_labels, dtype=np.int64).copy()
     else:
@@ -127,7 +118,6 @@ def reference_dpmhbp_fit(
     a0 = self.c0 * self.q0
     b0 = self.c0 * (1.0 - self.q0)
     sqrt_tau = math.sqrt(tau2)
-    s_f = s.astype(float)
 
     for sweep in range(self.n_sweeps):
         counts, bb, mu, mu_sq = state.matrices()
@@ -137,11 +127,8 @@ def reference_dpmhbp_fit(
         aux_mu_all = rng.normal(0.0, sqrt_tau, (n_seg, self.n_aux, d))
         a_aux = self.c_group * aux_q_all
         b_aux = self.c_group - a_aux
-        aux_base = (
-            log_alpha_aux
-            + betaln(a_aux + s_f[:, None], b_aux + (m - s_f)[:, None])
-            - betaln(a_aux, b_aux)
-        )
+        aux_table = beta_binomial_table(a_aux, b_aux, n_years)
+        aux_base = log_alpha_aux + aux_table[np.arange(n_seg), :, s]
         if use_features:
             aux_cross = np.einsum("ld,lhd->lh", feats, aux_mu_all)
             aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
@@ -182,12 +169,7 @@ def reference_dpmhbp_fit(
                 aux_mu[0] = mu_s
                 a_s = self.c_group * q_s
                 b_s = self.c_group * (1.0 - q_s)
-                sl = float(s[l])
-                w0 = (
-                    log_alpha_aux
-                    + _betaln_scalar(a_s + sl, b_s + (m - sl))
-                    - _betaln_scalar(a_s, b_s)
-                )
+                w0 = log_alpha_aux + float(beta_binomial_table(a_s, b_s, n_years)[s[l]])
                 if use_features:
                     w0 += (float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)) / sigma2
                 aux_logw[0] = w0
@@ -403,7 +385,7 @@ def reference_fit_hbp(
     rng = np.random.default_rng(seed)
     q = np.full(n_groups, q0)
     scales = [AdaptiveScale() for _ in range(n_groups)]
-    member_s = [s[groups == k] for k in range(n_groups)]
+    member_s = [s[groups == k].astype(np.int64) for k in range(n_groups)]
 
     pi_acc = np.zeros(n_units)
     q_acc = np.zeros(n_groups)
@@ -417,11 +399,8 @@ def reference_fit_hbp(
 
             def log_target(qk: float, sk=sk) -> float:
                 prior = float(beta_logpdf(qk, c0 * q0, c0 * (1.0 - q0)))
-                lik = float(
-                    np.sum(
-                        beta_binomial_logmarginal(sk, m, c_group * qk, c_group * (1.0 - qk))
-                    )
-                )
+                column = beta_binomial_table(c_group * qk, c_group * (1.0 - qk), n_years)
+                lik = float(np.sum(column[sk]))
                 return prior + lik
 
             q[k], accepted = metropolis_probability_step(

@@ -108,3 +108,47 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "net savings" in out
+
+
+class TestGridCellFailures:
+    """``repro grid`` under ``--on-error skip`` when cells keep failing."""
+
+    @staticmethod
+    def _grid(run_dir, *extra):
+        # Serial, so the injected fault reaches every cell.
+        return main(
+            ["grid", "--regions", "A", "--repeats", "2", "--scale", "0.05", "--seed", "9",
+             "--executor", "serial", "--on-error", "skip", "--run-dir", str(run_dir), *extra]
+        )
+
+    def test_run_whose_cells_all_failed_reads_finished(self, tmp_path, monkeypatch, capsys):
+        from repro.runs import CellExecutionError
+
+        from ._faults import FaultInjector, FaultSpec, inject
+
+        plan = {cell: FaultSpec(times=99) for cell in ("A-r000", "A-r001")}
+        inject(monkeypatch, FaultInjector(state_dir=str(tmp_path / "faults"), plan=plan))
+        run_dir = tmp_path / "run"
+        with pytest.warns(UserWarning, match="every cell failed"):
+            with pytest.raises(CellExecutionError):
+                self._grid(run_dir)
+        capsys.readouterr()
+        assert main(["status", str(run_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "[finished]" in out and "[in flight]" not in out
+        assert "0/2 done, 2 failed" in out
+
+    def test_region_with_one_completed_cell_skips_its_t_test(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from ._faults import FaultInjector, FaultSpec, inject
+
+        plan = {"A-r001": FaultSpec(times=99)}
+        inject(monkeypatch, FaultInjector(state_dir=str(tmp_path / "faults"), plan=plan))
+        with pytest.warns(UserWarning, match="A-r001"):
+            assert self._grid(tmp_path / "run") == 0
+        captured = capsys.readouterr()
+        assert "A:DPMHBP" in captured.out  # Table 18.3 of the one completed cell
+        assert "vs HBP" not in captured.out  # no Table 18.4 rows to pair
+        assert "Table 18.4 omits region(s) A: fewer than two completed cells" in captured.out
+        assert "1 cell(s) failed and were skipped: A-r001" in captured.err

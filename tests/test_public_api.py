@@ -54,22 +54,45 @@ class TestExports:
         import repro.network
         import repro.survival
 
-    def test_import_stays_light(self):
-        """`import repro` pulls in none of scipy.spatial, scipy.stats or
-        scipy.optimize (0.1-0.6 s each per process, and every pool worker
-        imports repro); no module of the package needs them."""
+    @staticmethod
+    def _run_probe(probe: str) -> list[str]:
+        """Run ``probe`` in a fresh interpreter on this checkout; its stdout lines."""
         src = str(Path(repro.__file__).resolve().parents[1])
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        probe = (
-            "import sys, repro; "
-            "print(sorted(m for m in ('scipy.spatial', 'scipy.stats', 'scipy.optimize')"
-            " if m in sys.modules))"
-        )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.splitlines()
+
+    def test_import_stays_light(self):
+        """`import repro` loads no scipy module: scipy.special alone costs
+        every process (each pool worker imports repro) ~0.2 s and ~20 MB."""
+        probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        assert self._run_probe(probe) == ["[]"]
+
+    def test_grid_process_never_loads_scipy(self):
+        """A fitted grid cell runs without scipy; the Table 18.4 p-value
+        loads it on first use and is unchanged."""
+        probe = "\n".join(
+            [
+                "import sys",
+                "from repro import run_comparison",
+                "from repro.eval.significance import paired_t_test",
+                "def scipy_modules():",
+                "    return sorted(m for m in sys.modules if m.startswith('scipy'))",
+                "result = run_comparison(['A'], n_repeats=1, scale=0.05, executor='serial')",
+                "assert len(result.runs['A']) == 1 and not result.failures",
+                "print(scipy_modules())",
+                "t = paired_t_test([0.91, 0.84, 0.88, 0.79], [0.83, 0.82, 0.85, 0.80])",
+                "print(repr(t.p_value))",
+                "print('scipy.special' in scipy_modules())",
+            ]
+        )
+        after_grid, p_value, after_test = self._run_probe(probe)
+        assert after_grid == "[]"
+        assert p_value == "0.10357142199575646"  # the value scipy.stats.ttest_rel gives
+        assert after_test == "True"
 
     def test_default_models_names_match_paper(self):
         names = [m.name for m in repro.default_models(fast=True)]

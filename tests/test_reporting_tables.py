@@ -82,6 +82,10 @@ class TestTables:
         out = table_18_4(fake_comparison)
         assert "<0.05" in out or "=" in out
 
+    def test_table_18_4_region_subset(self, fake_comparison):
+        out = table_18_4(fake_comparison, regions=["B"])
+        assert "AUC(100%) B" in out and "AUC(100%) A" not in out
+
     def test_detection_readout(self, fake_comparison):
         out = detection_readout(fake_comparison, budgets=(0.1, 0.5))
         assert "@10%" in out and "@50%" in out
