@@ -16,12 +16,12 @@ Commands
 (:func:`repro.monitor.run_report`), so they agree on every cell.
 
 Every command also takes ``--trace [PATH]`` (see :mod:`repro.telemetry`):
-spans, counters and gauges from the instrumented hot paths are collected
-and a where-the-time-went report is printed at exit; with a journalled
-``grid`` the trace lands in ``<run_dir>/trace.jsonl`` so ``repro status``
-can fold it into its report. ``--metrics-out PATH`` additionally writes
-the final counter/gauge state in Prometheus text exposition format
-(``repro_*`` metrics; see :mod:`repro.telemetry.prometheus`).
+spans and counters from the instrumented hot paths are collected and a
+where-the-time-went report of this process's own spans and counters is
+printed at exit; with a journalled ``grid`` the trace lands in
+``<run_dir>/trace.jsonl``, where worker processes append theirs too, so
+``repro status`` can fold the whole run into its report. Convergence is
+reported by ``doctor`` from the journal, not by telemetry.
 
 Every command shares one parent parser (so flags are declared once):
 ``--scale`` (fraction of paper-scale data, default from
@@ -73,22 +73,36 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     from .eval.experiment import run_comparison
     from .eval.reporting import table_18_3, table_18_4
+    from .runs import CellExecutionError
+
+    def report_failures(failures: list) -> None:
+        print(
+            f"\n{len(failures)} cell(s) failed and were skipped: "
+            + ", ".join(sorted(o.spec.cell_id for o in failures)),
+            file=sys.stderr,
+        )
 
     if args.resume and args.run_dir:
         print("use either --run-dir (fresh) or --resume (continue), not both",
               file=sys.stderr)
         return 2
-    result = run_comparison(
-        regions=tuple(args.regions),
-        n_repeats=args.repeats,
-        scale=args.scale,
-        base_seed=args.seed or 0,
-        fast=not args.full,
-        run_dir=args.run_dir,
-        resume=args.resume,
-        on_error=args.on_error,
-        retries=args.retries,
-    )
+    try:
+        result = run_comparison(
+            regions=tuple(args.regions),
+            n_repeats=args.repeats,
+            scale=args.scale,
+            base_seed=args.seed or 0,
+            fast=not args.full,
+            run_dir=args.run_dir,
+            resume=args.resume,
+            on_error=args.on_error,
+            retries=args.retries,
+        )
+    except CellExecutionError as exc:
+        if args.on_error == "raise":
+            raise
+        report_failures(exc.failures)  # every cell failed: no table to print
+        return 1
     print(table_18_3(result))
     if args.repeats >= 2:
         # A region left with one completed cell has no pair to test.
@@ -103,11 +117,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 "fewer than two completed cells to pair"
             )
     if result.failures:
-        print(
-            f"\n{len(result.failures)} cell(s) failed and were skipped: "
-            + ", ".join(sorted(o.spec.cell_id for o in result.failures)),
-            file=sys.stderr,
-        )
+        report_failures(result.failures)
     if result.run_dir:
         print(f"\nrun journal: {result.run_dir} (resume with --resume {result.run_dir})")
     return 0
@@ -209,14 +219,6 @@ def _parent_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="enable telemetry; append a JSONL trace to PATH (default: the "
         "run journal's trace.jsonl when journalled, else in-memory only)",
-    )
-    parent.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the final counters/gauges to PATH in Prometheus text "
-        "exposition format (implies telemetry collection)",
     )
     run = parent.add_argument_group("run control (grid)")
     run.add_argument(
@@ -320,14 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "executor", None) is not None:
         os.environ["REPRO_EXECUTOR"] = args.executor
     trace = getattr(args, "trace", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    # Passive (read-only) commands never print the where-the-time-went
-    # report — they inspect runs rather than execute them — but they do
-    # honour --metrics-out: `repro doctor --metrics-out` exports the
-    # convergence gauges it just computed.
-    passive = args.command in ("status", "doctor")
-    report_trace = trace is not None and not passive
-    if report_trace or metrics_out is not None:
+    # Passive (read-only) commands never trace: they inspect runs rather
+    # than execute them.
+    if trace is not None and args.command not in ("status", "doctor"):
         from . import telemetry
 
         # "auto" binds to the run journal when one is in play (run_comparison
@@ -341,17 +338,11 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             telemetry.flush()
             recorder = telemetry.get_recorder()
-            if report_trace:
-                report = telemetry.format_trace_report(
-                    telemetry.summarize_trace(recorder)
-                )
-                print(f"\n--- telemetry ({args.command}) ---", file=sys.stderr)
-                print(report, file=sys.stderr)
-                if recorder.trace_path is not None:
-                    print(f"trace: {recorder.trace_path}", file=sys.stderr)
-            if metrics_out is not None:
-                path = telemetry.write_metrics(metrics_out, recorder)
-                print(f"metrics: {path}", file=sys.stderr)
+            report = telemetry.format_trace_report(telemetry.summarize_trace(recorder))
+            print(f"\n--- telemetry ({args.command}) ---", file=sys.stderr)
+            print(report, file=sys.stderr)
+            if recorder.trace_path is not None:
+                print(f"trace: {recorder.trace_path}", file=sys.stderr)
             telemetry.disable()
     return args.func(args)
 

@@ -174,17 +174,6 @@ class DPMHBPPosterior:
     log_lik_trace: np.ndarray  # (n_sweeps,) collapsed Beta–Binomial log-likelihood
     accept_trace: np.ndarray  # (n_sweeps,) q-block acceptance rate
 
-    def credible_interval(self, z: float = 1.64) -> tuple[np.ndarray, np.ndarray]:
-        """Normal-approximation central interval for each segment's ρ.
-
-        ``z = 1.64`` gives ~90% coverage of the posterior of the
-        *conditional mean* (MCMC variability over group assignments and
-        rates), clipped to [0, 1].
-        """
-        lo = np.clip(self.rho_mean - z * self.rho_std, 0.0, 1.0)
-        hi = np.clip(self.rho_mean + z * self.rho_std, 0.0, 1.0)
-        return lo, hi
-
 
 class _ClusterState:
     """Mutable cluster bookkeeping for the Gibbs sweeps."""
@@ -273,8 +262,6 @@ class DPMHBP:
         ):
             posterior = self._fit(failures, features, init_labels)
         telemetry.count("dpmhbp.fits")
-        telemetry.gauge("dpmhbp.accept_rate_q", posterior.accept_rate_q)
-        telemetry.gauge("dpmhbp.n_clusters", float(posterior.n_clusters_trace[-1]))
         return posterior
 
     def _fit(
@@ -735,9 +722,3 @@ class DPMHBPModel(FailureModel):
             raise RuntimeError("model used before fit()")
         pipe_prob = data.survival_pipe_probability(self.posterior_.rho_mean)
         return pipe_prob * self._factor
-
-    def predict_segment_risk(self) -> np.ndarray:
-        """Posterior mean per-segment yearly failure probability ``ρ_l``."""
-        if self.posterior_ is None:
-            raise RuntimeError("model used before fit()")
-        return self.posterior_.rho_mean

@@ -432,7 +432,7 @@ def run_comparison(
     if not runs:
         if journal is not None:
             journal.log_event("run_aborted", failed=failures[0].spec.cell_id)
-        raise CellExecutionError(failures[0])
+        raise CellExecutionError(failures[0], failures)
     if failures:
         warnings.warn(
             f"{len(failures)} of {len(specs)} cells failed and were skipped "

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .. import telemetry
-from .health import HealthReport, VERDICT_CODES
+from .health import HealthReport
 from .report import CellReport, RunReport, run_report
 
 #: Verdict → severity rank, which is also the process exit code (the
@@ -105,9 +104,7 @@ def diagnose(run_dir: str | Path) -> DoctorReport:
     """Inspect a journalled run directory and fold a doctor verdict.
 
     Raises :class:`~repro.runs.journal.JournalError` when ``run_dir`` is
-    not a run directory. When telemetry is enabled, the findings are also
-    published as gauges (``repro_chain_rhat``, ``repro_doctor_health``,
-    …) so ``--metrics-out`` exports a scrape-ready snapshot.
+    not a run directory.
     """
     report = DoctorReport(run=run_report(run_dir))
 
@@ -119,11 +116,4 @@ def diagnose(run_dir: str | Path) -> DoctorReport:
     if report.cells_failed:
         level = max(level, 2)
     report.verdict = {0: "pass", 1: "warn", 2: "fail"}[level]
-
-    if telemetry.enabled():
-        for health in report.health.values():
-            health.publish_gauges()
-        telemetry.gauge("doctor.health", VERDICT_CODES.get(report.verdict, 1.0))
-        telemetry.gauge("doctor.cells_completed", float(report.cells_completed))
-        telemetry.gauge("doctor.cells_failed", float(len(report.cells_failed)))
     return report

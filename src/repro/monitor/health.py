@@ -28,15 +28,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .. import telemetry
 from ..inference.diagnostics import (
     effective_sample_size,
     geweke_zscore,
     split_rhat,
 )
-
-#: Numeric code exported as the ``chain.health`` gauge.
-VERDICT_CODES = {"pass": 0.0, "undiagnosable": 1.0, "warn": 1.0, "fail": 2.0}
 
 #: Geweke needs this many retained samples to say anything.
 MIN_GEWEKE_SAMPLES = 20
@@ -114,13 +110,6 @@ class HealthReport:
     def ok(self) -> bool:
         return self.verdict == "pass"
 
-    def worst_rhat(self) -> float:
-        """Largest finite pooled R̂, or nan when none is diagnosable."""
-        finite = [
-            q.rhat for q in self.quantities.values() if np.isfinite(q.rhat)
-        ]
-        return max(finite) if finite else float("nan")
-
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -140,29 +129,6 @@ class HealthReport:
             },
             verdict=str(payload.get("verdict", "undiagnosable")),
         )
-
-    def publish_gauges(self) -> None:
-        """Export the report's statistics as telemetry gauges.
-
-        ``chain.rhat.<q>`` / ``chain.ess.<q>`` / ``chain.geweke.<q>`` per
-        quantity, plus the summary gauges ``chain.rhat`` (worst finite R̂)
-        and ``chain.health`` (0 pass / 1 warn / 2 fail). The Prometheus
-        exporter renders these as ``repro_chain_rhat`` etc. No-ops when
-        telemetry is disabled.
-        """
-        if not telemetry.enabled():
-            return
-        for name, q in self.quantities.items():
-            if np.isfinite(q.rhat):
-                telemetry.gauge(f"chain.rhat.{name}", q.rhat)
-            if np.isfinite(q.ess):
-                telemetry.gauge(f"chain.ess.{name}", q.ess)
-            if np.isfinite(q.geweke_z):
-                telemetry.gauge(f"chain.geweke.{name}", q.geweke_z)
-        worst = self.worst_rhat()
-        if np.isfinite(worst):
-            telemetry.gauge("chain.rhat", worst)
-        telemetry.gauge("chain.health", VERDICT_CODES.get(self.verdict, 1.0))
 
     def format(self) -> str:
         """Render the per-quantity convergence table plus the verdict."""
@@ -279,11 +245,7 @@ class ChainHealth:
 
     # ------------------------------------------------------------- verdicts
     def report(self) -> HealthReport:
-        """Compute the :class:`HealthReport` over everything recorded.
-
-        Also exports the statistics as telemetry gauges via
-        :meth:`HealthReport.publish_gauges` (a no-op with telemetry off).
-        """
+        """Compute the :class:`HealthReport` over everything recorded."""
         chain_ids = sorted(self._chains)
         names: list[str] = []
         for cid in chain_ids:
@@ -322,9 +284,7 @@ class ChainHealth:
             )
 
         verdict = fold_verdicts(q.verdict for q in quantities.values())
-        report = HealthReport(quantities=quantities, verdict=verdict)
-        report.publish_gauges()
-        return report
+        return HealthReport(quantities=quantities, verdict=verdict)
 
     @staticmethod
     def _pooled_ess(chains: np.ndarray) -> float:

@@ -173,10 +173,16 @@ def execute_cell(
 
 
 class CellExecutionError(RuntimeError):
-    """Raised at grid level (``on_error="raise"``) for a cell's final failure."""
+    """Raised at grid level for a cell's final failure.
 
-    def __init__(self, outcome: CellOutcome):
+    Under ``on_error="raise"`` that is the first failed cell; under
+    ``"skip"``/``"retry"`` it is raised only when every cell failed, and
+    ``failures`` then lists them all.
+    """
+
+    def __init__(self, outcome: CellOutcome, failures: list[CellOutcome] | None = None):
         self.outcome = outcome
+        self.failures = failures if failures is not None else [outcome]
         super().__init__(
             f"cell {outcome.spec.cell_id} failed after {outcome.attempts} attempt(s) "
             f"[{outcome.error_type}]:\n{outcome.error}"

@@ -1,4 +1,4 @@
-"""Zero-dependency observability: spans, counters, gauges, traces.
+"""Zero-dependency observability: spans, counters, traces.
 
 The third leg of the production stool (after the parallel executor and
 the journalled run engine): one consistent instrumentation API threaded
@@ -6,14 +6,16 @@ through inference, parallel fan-out and the grid engine.
 
 * :func:`span` — hierarchical timed spans (``with span("fit"): ...``),
   thread-safe, with per-thread ancestry paths;
-* :func:`count` / :func:`gauge` — sweeps, acceptance rates, cluster
-  counts, cache hits, retries;
+* :func:`count` — sweeps, fits, cache hits, retries;
 * :func:`configure` — switch telemetry on, optionally exporting a JSONL
   trace (``--trace`` on every CLI subcommand writes it into the run
   journal's directory so traces resume with the run);
 * :mod:`~repro.telemetry.aggregate` — fold a trace back into
   where-the-time-went tables (``repro status`` renders them for a
   journalled run; see :mod:`repro.monitor.report`).
+
+Convergence is not telemetry: each chain's health report lives in its
+cell's completion marker (``repro doctor``).
 
 Telemetry is **disabled by default** and the disabled path is a no-op
 recorder (one attribute check per call) — cheap enough that the
@@ -24,18 +26,10 @@ instrumentation lives permanently in the hot paths; the perf smoke
 from .aggregate import (
     SpanStats,
     aggregate_counters,
-    aggregate_gauges,
     aggregate_spans,
     format_trace_report,
     read_trace,
     summarize_trace,
-)
-from .prometheus import (
-    METRIC_PREFIX,
-    render_metrics,
-    render_recorder,
-    sanitize_metric_name,
-    write_metrics,
 )
 from .recorder import (
     MAX_RETAINED_SPANS,
@@ -48,21 +42,18 @@ from .recorder import (
     disable,
     enabled,
     flush,
-    gauge,
     get_recorder,
     span,
 )
 
 __all__ = [
     "MAX_RETAINED_SPANS",
-    "METRIC_PREFIX",
     "TRACE_ENV",
     "TRACE_NAME",
     "SpanRecord",
     "SpanStats",
     "TelemetryRecorder",
     "aggregate_counters",
-    "aggregate_gauges",
     "aggregate_spans",
     "configure",
     "count",
@@ -70,13 +61,8 @@ __all__ = [
     "enabled",
     "flush",
     "format_trace_report",
-    "gauge",
     "get_recorder",
     "read_trace",
-    "render_metrics",
-    "render_recorder",
-    "sanitize_metric_name",
     "span",
     "summarize_trace",
-    "write_metrics",
 ]

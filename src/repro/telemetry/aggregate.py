@@ -1,10 +1,11 @@
 """Aggregation of JSONL traces into where-the-time-went tables.
 
-The trace file interleaves span/counter/gauge lines from every process
+The trace file interleaves span and counter lines from every process
 and thread that worked on a run. These helpers fold it back into the
-numbers a human asks for — total/mean/max per span name, counter totals,
-last-seen gauges — and render the ``docs/performance.md``-style report
-``repro status`` and the docs build on.
+numbers a human asks for — total/mean/max per span name and counter
+totals — and render the ``docs/performance.md``-style report
+``repro status`` and the docs build on. Every helper skips lines of any
+other kind, such as the ``"kind": "gauge"`` lines of older traces.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "read_trace",
     "aggregate_spans",
     "aggregate_counters",
-    "aggregate_gauges",
     "summarize_trace",
     "format_trace_report",
 ]
@@ -93,15 +93,6 @@ def aggregate_counters(records: list[dict]) -> dict[str, float]:
     return totals
 
 
-def aggregate_gauges(records: list[dict]) -> dict[str, float]:
-    """Last-written value per gauge (trace order)."""
-    gauges: dict[str, float] = {}
-    for record in records:
-        if record.get("kind") == "gauge" and "name" in record:
-            gauges[str(record["name"])] = float(record.get("value", 0.0))
-    return gauges
-
-
 def summarize_trace(source: str | Path | list[dict] | TelemetryRecorder) -> dict:
     """One-stop summary of a trace file, parsed records, or a live recorder."""
     if isinstance(source, TelemetryRecorder):
@@ -109,13 +100,11 @@ def summarize_trace(source: str | Path | list[dict] | TelemetryRecorder) -> dict
         return {
             "spans": aggregate_spans(snap["spans"]),
             "counters": snap["counters"],
-            "gauges": snap["gauges"],
         }
     records = read_trace(source) if isinstance(source, (str, Path)) else source
     return {
         "spans": aggregate_spans(records),
         "counters": aggregate_counters(records),
-        "gauges": aggregate_gauges(records),
     }
 
 
@@ -142,13 +131,6 @@ def format_trace_report(summary: dict, top: int = 15) -> str:
         lines.append("counters:")
         for name in sorted(counters):
             lines.append(f"  {name:<30s} {counters[name]:>12g}")
-    gauges = summary.get("gauges", {})
-    if gauges:
-        if lines:
-            lines.append("")
-        lines.append("gauges:")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<30s} {gauges[name]:>12.4g}")
     if not lines:
         return "no telemetry recorded"
     return "\n".join(lines)

@@ -1,7 +1,7 @@
-"""The telemetry recorder: hierarchical spans, counters, gauges, JSONL traces.
+"""The telemetry recorder: hierarchical spans, counters, JSONL traces.
 
 One process-global :class:`TelemetryRecorder` backs the module-level
-:func:`span` / :func:`count` / :func:`gauge` helpers that the instrumented
+:func:`span` / :func:`count` helpers that the instrumented
 hot paths call. Telemetry is **off by default** and the disabled path is a
 single attribute check returning a shared no-op context manager — cheap
 enough to leave instrumentation permanently in sweep loops (the perf
@@ -9,7 +9,7 @@ smoke's ``telemetry_noop_200k`` check asserts this stays true).
 
 Enabled, the recorder keeps everything in memory (thread-safe; span
 parentage via a per-thread stack) and, when given a ``trace_path``,
-appends finished spans and counter/gauge snapshots as JSONL — one JSON
+appends finished spans and counter deltas as JSONL — one JSON
 object per ``write`` call, the same torn-line-free append discipline as
 the run journal's event log. Counter increments are buffered and flushed
 as deltas whenever a top-level span closes (and on :func:`flush`), so a
@@ -19,7 +19,10 @@ Cross-process: :func:`configure` exports ``REPRO_TRACE`` so process-pool
 workers (which import this module fresh, or inherit the environment via
 fork) auto-configure themselves against the *same* trace file; every line
 carries its pid/thread, and the aggregation helpers in
-:mod:`repro.telemetry.aggregate` merge them back together.
+:mod:`repro.telemetry.aggregate` merge them back together. A forked child
+starts from an empty recorder: it inherits neither the parent's open span
+stack (its own spans are then top-level and flush their counters) nor the
+parent's unflushed counter deltas (which only the parent may export).
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class _Span:
 
 
 class TelemetryRecorder:
-    """Thread-safe collector of spans, counters and gauges.
+    """Thread-safe collector of spans and counters.
 
     ``enabled=False`` (the default global recorder) makes every operation
     a no-op; instrumented code never needs its own guard beyond calling
@@ -137,7 +140,6 @@ class TelemetryRecorder:
         self._dropped_spans = 0
         self.counters: dict[str, float] = {}
         self._pending_counts: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
 
     # ------------------------------------------------------------- recording
     def span(self, name: str, **attrs: Any) -> "_Span | _NullSpan":
@@ -153,22 +155,6 @@ class TelemetryRecorder:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + n
             self._pending_counts[name] = self._pending_counts.get(name, 0.0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a gauge to its latest value (exported immediately)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self.gauges[name] = float(value)
-        self._export(
-            {
-                "kind": "gauge",
-                "t": time.time(),
-                "name": name,
-                "value": float(value),
-                "pid": os.getpid(),
-            }
-        )
 
     # -------------------------------------------------------------- internals
     def _thread_stack(self) -> list[str]:
@@ -232,7 +218,6 @@ class TelemetryRecorder:
                 "spans": list(self.spans),
                 "dropped_spans": self._dropped_spans,
                 "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
             }
 
     def reset(self) -> None:
@@ -242,7 +227,12 @@ class TelemetryRecorder:
             self._dropped_spans = 0
             self.counters.clear()
             self._pending_counts.clear()
-            self.gauges.clear()
+
+    def _forget_parent(self) -> None:
+        """Drop what a forked child inherited: locks, span stacks, data."""
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self.reset()
 
 
 # The process-global recorder. Starts disabled; a worker process spawned
@@ -250,6 +240,8 @@ class TelemetryRecorder:
 _recorder = TelemetryRecorder(
     enabled=TRACE_ENV in os.environ, trace_path=os.environ.get(TRACE_ENV) or None
 )
+# Looked up at fork time: configure() may have replaced the recorder since.
+os.register_at_fork(after_in_child=lambda: _recorder._forget_parent())
 
 
 def get_recorder() -> TelemetryRecorder:
@@ -295,12 +287,6 @@ def count(name: str, n: float = 1) -> None:
     rec = _recorder
     if rec.enabled:
         rec.count(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    rec = _recorder
-    if rec.enabled:
-        rec.gauge(name, value)
 
 
 def flush() -> None:

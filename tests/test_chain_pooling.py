@@ -43,14 +43,3 @@ class TestChainPooling:
     def test_invalid_chain_count(self, small_model_data):
         with pytest.raises(ValueError):
             DPMHBPModel(n_chains=0).fit(small_model_data)
-
-    def test_credible_interval_bounds(self, two_chain_model):
-        lo, hi = two_chain_model.posterior_.credible_interval()
-        assert np.all(lo <= two_chain_model.posterior_.rho_mean + 1e-12)
-        assert np.all(hi >= two_chain_model.posterior_.rho_mean - 1e-12)
-        assert np.all((lo >= 0) & (hi <= 1))
-
-    def test_interval_width_grows_with_z(self, two_chain_model):
-        lo1, hi1 = two_chain_model.posterior_.credible_interval(z=1.0)
-        lo2, hi2 = two_chain_model.posterior_.credible_interval(z=2.0)
-        assert np.all(hi2 - lo2 >= hi1 - lo1 - 1e-12)

@@ -122,17 +122,16 @@ class TestGridCellFailures:
         )
 
     def test_run_whose_cells_all_failed_reads_finished(self, tmp_path, monkeypatch, capsys):
-        from repro.runs import CellExecutionError
-
         from ._faults import FaultInjector, FaultSpec, inject
 
         plan = {cell: FaultSpec(times=99) for cell in ("A-r000", "A-r001")}
         inject(monkeypatch, FaultInjector(state_dir=str(tmp_path / "faults"), plan=plan))
         run_dir = tmp_path / "run"
         with pytest.warns(UserWarning, match="every cell failed"):
-            with pytest.raises(CellExecutionError):
-                self._grid(run_dir)
-        capsys.readouterr()
+            assert self._grid(run_dir) == 1
+        captured = capsys.readouterr()
+        assert "2 cell(s) failed and were skipped: A-r000, A-r001" in captured.err
+        assert "Traceback" not in captured.err
         assert main(["status", str(run_dir)]) == 1
         out = capsys.readouterr().out
         assert "[finished]" in out and "[in flight]" not in out

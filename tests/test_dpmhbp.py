@@ -179,14 +179,14 @@ class TestDPMHBPModel:
 
     def test_segment_risk_exposed(self, small_model_data):
         model = DPMHBPModel(n_sweeps=15, burn_in=5, seed=0).fit(small_model_data)
-        rho = model.predict_segment_risk()
+        rho = model.posterior_.rho_mean
         assert rho.shape == (small_model_data.n_segments,)
 
     def test_longer_pipes_riskier_all_else_equal(self, small_model_data):
         """The series-system composition: more segments ⇒ higher π."""
         md = small_model_data
         model = DPMHBPModel(n_sweeps=15, burn_in=5, seed=0, covariates=False).fit(md)
-        rho = model.predict_segment_risk()
+        rho = model.posterior_.rho_mean
         pipe_p = md.survival_pipe_probability(rho)
         counts = np.bincount(md.seg_pipe_idx, minlength=md.n_pipes)
         # Across the population, segment count and composed risk correlate.
@@ -196,5 +196,3 @@ class TestDPMHBPModel:
     def test_predict_before_fit(self, small_model_data):
         with pytest.raises(RuntimeError):
             DPMHBPModel().predict_pipe_risk(small_model_data)
-        with pytest.raises(RuntimeError):
-            DPMHBPModel().predict_segment_risk()

@@ -16,7 +16,7 @@ Pins the contracts of :mod:`repro.monitor`:
   and still reads markers whose reports carry a ``thresholds`` entry;
 * ``repro doctor`` folds failures > per-cell chain health into exit
   codes 0/1/2 (no health report at all is a warning), with ``--json``
-  and ``--metrics-out`` round-tripping;
+  round-tripping;
 * ``repro status`` and ``repro doctor`` render one run report: the same
   cells, failures, retries and health, and a worst-verdict column per cell
   in status.
@@ -28,7 +28,6 @@ import shutil
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.cli import main as cli_main
 from repro.core.dpmhbp import DPMHBP, DPMHBPModel
 from repro.eval.experiment import (
@@ -47,16 +46,6 @@ from repro.monitor import (
 from repro.monitor import health as health_module
 from repro.monitor.doctor import EXIT_CODES
 from repro.runs import CellSpec, RunJournal
-from repro.telemetry import TRACE_ENV
-
-
-@pytest.fixture(autouse=True)
-def _clean_recorder(monkeypatch):
-    """Telemetry off between tests."""
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    telemetry.disable()
-    yield
-    telemetry.disable()
 
 
 def _white_noise_chains(n_chains=2, n=400, seed=0):
@@ -146,7 +135,6 @@ class TestChainHealth:
         assert report.quantities["flat"].verdict == "undiagnosable"
         assert report.verdict == "undiagnosable"
         assert not report.ok
-        assert np.isnan(report.worst_rhat())
         assert EXIT_CODES[report.verdict] == 0  # undiagnosable never fails CI
 
     def test_worst_quantity_wins_the_fold(self):
@@ -159,7 +147,6 @@ class TestChainHealth:
         assert report.quantities["good"].verdict == "pass"
         assert report.quantities["bad"].verdict == "fail"
         assert report.verdict == "fail"
-        assert report.worst_rhat() == report.quantities["bad"].rhat
 
     def test_burn_in_trims_the_transient(self):
         rng = np.random.default_rng(3)
@@ -202,17 +189,6 @@ class TestChainHealth:
         assert q.verdict == "undiagnosable" and q.reasons == ()
         assert np.isnan(q.ess)
         assert report.verdict == "undiagnosable"
-
-    def test_report_publishes_summary_gauges(self):
-        rec = telemetry.configure(enabled=True)
-        health = ChainHealth()
-        for chain in _white_noise_chains():
-            health.ingest_chain({"theta": chain})
-        health.report()
-        gauges = rec.snapshot()["gauges"]
-        assert gauges["chain.health"] == 0.0  # pass
-        assert gauges["chain.rhat"] == pytest.approx(gauges["chain.rhat.theta"])
-        assert "chain.ess.theta" in gauges and "chain.geweke.theta" in gauges
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError, match="burn_in"):
@@ -421,21 +397,6 @@ class TestDoctorCLI:
     def test_not_a_run_directory_exits_two(self, tmp_path, capsys):
         assert cli_main(["doctor", str(tmp_path)]) == 2
         assert "not a run directory" in capsys.readouterr().err
-
-    def test_metrics_out_writes_prometheus_text(self, tmp_path, capsys):
-        run_dir = _completed_run(tmp_path)
-        metrics = tmp_path / "doctor.prom"
-        rc = cli_main(["doctor", str(run_dir), "--metrics-out", str(metrics)])
-        assert rc == 0
-        text = metrics.read_text()
-        assert "# TYPE repro_doctor_health gauge" in text
-        assert "repro_doctor_health 0" in text
-        assert "# TYPE repro_chain_rhat gauge" in text
-        assert "repro_doctor_cells_completed 2" in text
-        # The passive command stays quiet on stdout apart from the report.
-        assert "doctor verdict" in capsys.readouterr().out
-        # ... and the flag's enablement was scoped to the command.
-        assert not telemetry.enabled()
 
 
 class TestRunReport:

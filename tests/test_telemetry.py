@@ -1,10 +1,11 @@
-"""Telemetry: spans, counters, gauges, traces, and ``repro status``.
+"""Telemetry: spans, counters, traces, and ``repro status``.
 
 Pins the three contracts the instrumentation layer makes:
 
 * recording — nested spans carry their per-thread ancestry path; counters
-  and gauges are thread-safe; everything lands in the JSONL trace and
-  round-trips through the aggregation helpers;
+  are thread-safe; everything lands in the JSONL trace and round-trips
+  through the aggregation helpers, and forked pool workers count exactly
+  what a serial run counts;
 * the disabled default is a true no-op — one shared context-manager
   object, nothing recorded (the perf smoke bounds its cost);
 * ``repro status`` renders a faithful report over a journalled run
@@ -21,30 +22,32 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main as cli_main
-from repro.eval.experiment import ModelEvaluation, RegionRun
+from repro.core.dpmhbp import DPMHBPModel
+from repro.core.survival_models import CoxPHModel
+from repro.eval.experiment import ModelEvaluation, RegionRun, run_comparison
 from repro.monitor import format_status, run_report
-from repro.parallel import ExecutorConfig, safe_parallel_map
+from repro.parallel import ExecutorConfig, clear_model_data_cache, safe_parallel_map
 from repro.runs import CellSpec, JournalError, RunJournal
 from repro.telemetry import (
     TRACE_ENV,
     TRACE_NAME,
     TelemetryRecorder,
     aggregate_counters,
-    aggregate_gauges,
     aggregate_spans,
     format_trace_report,
     read_trace,
-    render_metrics,
-    render_recorder,
-    sanitize_metric_name,
     summarize_trace,
-    write_metrics,
 )
 
 
 def _double(x):
     """Module-level so process pools can pickle it."""
     return 2 * x
+
+
+def _chain_models(seed):
+    """Module-level factory: a two-chain DPMHBP (nested chain pool) and Cox."""
+    return [DPMHBPModel(n_sweeps=6, burn_in=2, n_chains=2, seed=seed), CoxPHModel()]
 
 
 @pytest.fixture(autouse=True)
@@ -126,20 +129,13 @@ class TestCountersAndGauges:
             t.join()
         assert rec.snapshot()["counters"] == {"hits": 4000.0}
 
-    def test_gauge_keeps_latest_value(self):
-        rec = telemetry.configure(enabled=True)
-        telemetry.gauge("accept", 0.1)
-        telemetry.gauge("accept", 0.3)
-        assert rec.snapshot()["gauges"] == {"accept": 0.3}
-
     def test_reset_drops_everything(self):
         rec = telemetry.configure(enabled=True)
         with telemetry.span("s"):
             telemetry.count("c")
-        telemetry.gauge("g", 1.0)
         rec.reset()
         snap = rec.snapshot()
-        assert snap["spans"] == [] and snap["counters"] == {} and snap["gauges"] == {}
+        assert snap["spans"] == [] and snap["counters"] == {}
 
 
 class TestDisabledIsNoOp:
@@ -152,9 +148,8 @@ class TestDisabledIsNoOp:
     def test_disabled_records_nothing(self):
         with telemetry.span("hot"):
             telemetry.count("c", 5)
-            telemetry.gauge("g", 2.0)
         snap = telemetry.get_recorder().snapshot()
-        assert snap["spans"] == [] and snap["counters"] == {} and snap["gauges"] == {}
+        assert snap["spans"] == [] and snap["counters"] == {}
 
 
 class TestTraceFile:
@@ -164,7 +159,6 @@ class TestTraceFile:
         with telemetry.span("fit", region="A"):
             with telemetry.span("sweep"):
                 telemetry.count("sweeps", 3)
-        telemetry.gauge("accept", 0.25)
         telemetry.count("sweeps", 2)
         telemetry.flush()
         records = read_trace(path)
@@ -172,9 +166,8 @@ class TestTraceFile:
         assert spans["fit"].count == 1 and spans["sweep"].count == 1
         # Two counter flushes (top-level span exit, explicit) sum as deltas.
         assert aggregate_counters(records) == {"sweeps": 5.0}
-        assert aggregate_gauges(records) == {"accept": 0.25}
         report = format_trace_report(summarize_trace(path))
-        assert "fit" in report and "sweeps" in report and "accept" in report
+        assert "fit" in report and "sweeps" in report
 
     def test_counters_flush_on_top_level_span_exit(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -228,6 +221,41 @@ class TestTraceFile:
         assert sum(r["name"] == "parallel.worker" for r in spans) == 4
         assert worker_pids and os.getpid() not in worker_pids
         assert [r["pid"] for r in spans if r["name"] == "parallel.map"] == [os.getpid()]
+
+    def test_forked_workers_count_like_a_serial_run(self, tmp_path, monkeypatch):
+        """Forked cell and chain workers neither lose nor re-export counts.
+
+        A forked child inherits the parent's open span stack and unflushed
+        counter deltas; unless it drops both, its spans never close at top
+        level (so its counts are never flushed) or it re-exports deltas
+        that only the parent may export.
+        """
+        totals = {}
+        for mode, jobs in (("serial", 1), ("processes", 2)):
+            # The environment is what nested fan-outs (DPMHBP's chains) read.
+            monkeypatch.setenv("REPRO_EXECUTOR", mode)
+            monkeypatch.setenv("REPRO_JOBS", str(jobs))
+            run_dir = tmp_path / mode
+            # Forked workers inherit this process's region cache: empty it so
+            # both runs build their regions (and count the same cache misses).
+            clear_model_data_cache()
+            telemetry.configure()
+            run_comparison(
+                regions=("A",),
+                n_repeats=2,
+                scale=0.05,
+                models_factory=_chain_models,
+                jobs=jobs,
+                executor=mode,
+                run_dir=run_dir,
+            )
+            telemetry.flush()
+            telemetry.disable()
+            totals[mode] = summarize_trace(run_dir / TRACE_NAME)["counters"]
+        serial, forked = totals["serial"], totals["processes"]
+        assert serial["dpmhbp.sweeps"] == 2 * 2 * 6  # cells × chains × sweeps
+        assert {name: forked.get(name) for name in serial} == serial
+        assert forked["shm.published"] == 2  # one chain bundle per cell
 
     def test_unwritable_trace_path_never_raises(self, tmp_path):
         telemetry.configure(trace_path=tmp_path / "trace.jsonl")
@@ -358,30 +386,35 @@ class TestRunStatus:
         with pytest.raises(JournalError, match="not a run directory"):
             run_report(tmp_path)
 
-    def test_gauges_only_trace_with_zero_completed_cells(self, tmp_path):
+    def test_counters_only_trace_with_zero_completed_cells(self, tmp_path):
         """Regression: a traced run that completed nothing renders cleanly.
 
-        A run can die (or still be warming up) after writing only gauge
-        lines — no spans, no counters, no completed cells. The report must
-        not open its trace section with a stray blank line, and verbose
-        must still list the pending cells even though none has a timing.
+        A run can die (or still be warming up) after writing only counter
+        lines — no spans, no completed cells. The report must not open its
+        trace section with a stray blank line, and verbose must still list
+        the pending cells even though none has a timing. A gauge line, as
+        older versions wrote, is skipped rather than rejected.
         """
         run_dir = tmp_path / "run"
         RunJournal.create(run_dir, {"regions": ["A"], "n_repeats": 2})
         telemetry.configure(trace_path=run_dir / TRACE_NAME)
-        telemetry.gauge("chain.rhat", 1.02)
+        telemetry.count("cache.miss")
         telemetry.flush()
         telemetry.disable()
+        with open(run_dir / TRACE_NAME, "a", encoding="utf-8") as handle:
+            handle.write(
+                '{"kind": "gauge", "name": "chain.rhat", "pid": 1, "t": 0.0, "value": 1.02}\n'
+            )
 
         status = run_report(run_dir)
         assert status.counts() == {"done": 0, "failed": 0, "running": 0, "pending": 2}
-        assert status.trace_summary["gauges"] == {"chain.rhat": 1.02}
+        assert status.trace_summary == {"spans": {}, "counters": {"cache.miss": 1.0}}
 
         text = format_status(status)
-        # The gauge table follows the trace header directly — no leading
-        # blank separator when spans and counters are absent.
-        assert f"trace ({TRACE_NAME}):\ngauges:" in text
-        assert "chain.rhat" in text
+        # The counter table follows the trace header directly — no leading
+        # blank separator when spans are absent.
+        assert f"trace ({TRACE_NAME}):\ncounters:" in text
+        assert "chain.rhat" not in text
 
         verbose = format_status(status, verbose=True)
         assert f"{'A-r000':<12s} pending" in verbose
@@ -444,95 +477,3 @@ class TestStatusCLI:
         # The flag's enablement is scoped to the command: global state restored.
         assert not telemetry.enabled()
         assert TRACE_ENV not in os.environ
-
-
-class TestPrometheusExporter:
-    def test_sanitize_maps_dots_to_underscores(self):
-        assert sanitize_metric_name("chain.rhat.n_clusters") == (
-            "repro_chain_rhat_n_clusters"
-        )
-        # Idempotent on already-valid names, custom prefixes respected.
-        assert sanitize_metric_name("gibbs_sweeps") == "repro_gibbs_sweeps"
-        assert sanitize_metric_name("x.y", prefix="pfx_") == "pfx_x_y"
-        with pytest.raises(ValueError):
-            sanitize_metric_name("", prefix="")
-
-    def test_render_emits_typed_sorted_families(self):
-        text = render_metrics(
-            {"dpmhbp.sweeps": 40.0, "gibbs.sweeps": 120.0},
-            {"chain.rhat": 1.0171, "chain.health": 0.0},
-        )
-        lines = text.splitlines()
-        # Counters first (sorted, _total-suffixed), then gauges (sorted).
-        assert lines == [
-            "# TYPE repro_dpmhbp_sweeps_total counter",
-            "repro_dpmhbp_sweeps_total 40",
-            "# TYPE repro_gibbs_sweeps_total counter",
-            "repro_gibbs_sweeps_total 120",
-            "# TYPE repro_chain_health gauge",
-            "repro_chain_health 0",
-            "# TYPE repro_chain_rhat gauge",
-            "repro_chain_rhat 1.0171",
-        ]
-        assert text.endswith("\n")
-
-    def test_total_suffix_not_doubled(self):
-        text = render_metrics({"sweeps_total": 3.0}, {})
-        assert "repro_sweeps_total 3" in text
-        assert "total_total" not in text
-
-    def test_non_finite_values_use_prometheus_literals(self):
-        text = render_metrics({}, {
-            "nan": float("nan"),
-            "pos": float("inf"),
-            "neg": float("-inf"),
-        })
-        assert "repro_nan NaN" in text
-        assert "repro_pos +Inf" in text
-        assert "repro_neg -Inf" in text
-
-    def test_empty_recorder_renders_empty_string(self):
-        assert render_metrics({}, {}) == ""
-
-    def test_render_recorder_reads_live_state(self):
-        telemetry.configure(enabled=True)
-        telemetry.count("gibbs.sweeps", 7)
-        telemetry.gauge("chain.rhat", 1.05)
-        text = render_recorder()
-        assert "repro_gibbs_sweeps_total 7" in text
-        assert "repro_chain_rhat 1.05" in text
-
-    def test_write_metrics_is_atomic_and_mkdirs(self, tmp_path):
-        telemetry.configure(enabled=True)
-        telemetry.gauge("chain.health", 2.0)
-        path = write_metrics(tmp_path / "deep" / "metrics.prom")
-        assert path.read_text() == (
-            "# TYPE repro_chain_health gauge\nrepro_chain_health 2\n"
-        )
-        # No temp droppings left behind.
-        assert [p.name for p in path.parent.iterdir()] == ["metrics.prom"]
-
-    def test_cli_metrics_out_exports_run_counters(self, tmp_path, capsys, monkeypatch):
-        # Serial execution keeps the counters in this process' recorder
-        # (workers' counters only fold back through a trace file).
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        metrics = tmp_path / "metrics.prom"
-        rc = cli_main(
-            [
-                "compare",
-                "--region",
-                "A",
-                "--scale",
-                "0.05",
-                "--metrics-out",
-                str(metrics),
-            ]
-        )
-        assert rc == 0
-        assert f"metrics: {metrics}" in capsys.readouterr().err
-        text = metrics.read_text()
-        assert "# TYPE repro_dpmhbp_sweeps_total counter" in text
-        # The DPMHBP fit's pooled convergence verdict rode along as gauges.
-        assert "# TYPE repro_chain_health gauge" in text
-        # The flag's enablement was scoped to the command.
-        assert not telemetry.enabled()
