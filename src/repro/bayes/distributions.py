@@ -119,8 +119,10 @@ def gaussian_marginal_logpdf_sum(
 
     ``x_i ~ N(mu, noise_var)``, ``mu ~ N(prior_mean, prior_var)``; returns
     ``log ∫ Π N(x_i; mu, noise_var) N(mu; prior_mean, prior_var) dmu``
-    for a single feature dimension (vector ``x``). Used by the feature-aware
-    CRP to score a block of observations as one cluster.
+    for a single feature dimension (vector ``x``). With one observation
+    and ``prior_mean = 0``, its sum over the d dimensions is DPMHBP's
+    new-cluster term (``repro.core.dpmhbp._new_cluster_feature_term``)
+    plus the constants that term drops; a test checks that they agree.
     """
     x = np.asarray(x, dtype=float)
     n = x.size

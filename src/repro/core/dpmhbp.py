@@ -22,48 +22,31 @@ unbounded and inferred.
 Inference is Metropolis-within-Gibbs (the HBP hierarchy breaks conjugacy
 for ``q_k``), with Neal's Algorithm 8 auxiliary-cluster moves for the CRP
 assignments and ``ρ_l`` collapsed out of the assignment and ``q_k`` blocks
-(the Beta–Binomial marginal). Because every segment has the same number of
-observation years ``m`` and tiny failure counts, the per-cluster
-Beta–Binomial terms are precomputed as a ``(K, m+1)`` table once per sweep
-— the sparsity-exploiting approximation that keeps sweeps linear in the
-number of segments.
+(the Beta–Binomial marginal, a ``(K, m+1)`` table per sweep since every
+segment has the same ``m`` years). An auxiliary cluster carries only a
+rate drawn from the prior; its Normal feature mean is integrated out (the
+prior predictive, as in Neal's Algorithm 2), and a born cluster draws its
+mean from the posterior given its one segment.
 
-The implementation keeps the sequential CRP scan (Algorithm 8 is
-inherently one-segment-at-a-time) but takes every numpy call it can out
-of the per-segment step. Within a sweep a candidate's log-weight changes
-only through its cluster's live size: the Beta–Binomial term, the feature
-term and the auxiliary clusters' weights (one pass over all ``n_aux``
-candidates of every segment, a product of rising factorials per group of
-segments with equal failure counts) are fixed until the cluster count
-changes. So the scan scores a window of upcoming steps at once — the
-existing clusters' Beta–Binomial columns plus one ``feats @ mu.T``
-product per window, then the auxiliaries — and adds the window's Gumbel
-noise, drawn in blocks (Gumbel-max: no normalisation, no ``rng.choice``).
-
-Each step's draw is also made speculatively, once per window: the window
-adds its start log-counts ℓ⁰ and takes every row's winner and runner-up
-in one pass. A count of n moves its log-weight by only about 1/n, while
-the Gumbel gap between a row's top two candidates is O(1). So the scan
-tracks D, the largest drift |ℓ_k − ℓ⁰_k| any count update has caused
-since the window opened, and a step keeps its speculative winner when
-the row's margin exceeds 2D (:func:`_certified_draws` proves that this
-is the draw the live log-counts give, rounding and ties included).
-Otherwise it adds the live log-counts to its row and takes the argmax.
-The step itself is pure Python: labels, cluster sizes and their logs
-live in lists, written back once per sweep. A birth or death changes K
-and rescores the rest of the window; the noise it did not use is handed
-back, and after the scan the generator is rewound so that Blocks 2-3 see
-exactly the stream per-step draws would have left.
-
-The batched product rounds differently from a per-segment
-``mu @ feats[l]``, and the terms are summed in another order; that can
-change a draw only through a tie within rounding between two perturbed
-weights, which continuous Gumbel noise makes vanishingly rare (tests pin
-the outputs to the per-step loop byte for byte). Around the scan, the
-``q_k`` block scores every cluster's current and proposed rate in one
-batch, each through its (m+1)-bin failure-count histogram instead of its
-member vector, and the conjugate Gaussian block updates every cluster
-mean in one batch.
+The sequential CRP scan keeps numpy out of the per-segment step. Until the
+cluster count changes, a candidate's log-weight moves only with its
+cluster's live size, so the scan scores a window of steps at once (the
+existing clusters' Beta–Binomial columns and one ``feats @ mu.T``
+product, then the auxiliaries) and adds the window's Gumbel noise
+−log(−log U), drawn from uniforms in blocks. Each step's draw is made
+speculatively at the window-start log-counts ℓ⁰ and kept while the row's
+margin exceeds 2D, D being the largest drift |ℓ_k − ℓ⁰_k| so far
+(:func:`_certified_draws` proves this is the live draw); otherwise the
+step adds the live log-counts and takes the argmax. A birth or death
+rescores the rest of the window and hands back the unused noise; the
+generator is rewound to where per-step draws would leave it before a
+birth draws its mean and after the scan. The batched sums round
+differently from a per-step loop, which can change a draw only through a
+tie within rounding (tests pin the outputs to the per-step loop byte for
+byte). The ``q_k`` block scores every cluster's current and proposed rate
+in one batch through (m+1)-bin failure-count histograms, and the
+conjugate Gaussian block updates every cluster mean in one batch.
+docs/performance.md §1 has the details.
 """
 
 from __future__ import annotations
@@ -92,12 +75,14 @@ SCAN_BLOCK_BYTES = 1 << 15
 class _GumbelStream:
     """Standard Gumbel noise from ``rng``, drawn in blocks and taken in order.
 
-    Each Gumbel value consumes the generator one draw at a time, so values
-    taken from blocks equal those of one ``rng.gumbel`` call per scan step.
-    The scan hands back values it scored but did not use (:meth:`untake`)
-    when the cluster count changes; :meth:`close` then rewinds the
-    generator to the draw holding the last value taken and redraws up to
-    it, leaving the generator exactly where per-step calls would have.
+    Each value is −log(−log U) of one ``rng.random`` uniform, so values
+    taken from blocks equal those of one ``rng.random`` call per scan step
+    (``np.log`` rounds each element alike at any array width). The scan
+    hands back values it scored but did not use (:meth:`untake`) when the
+    cluster count changes; :meth:`close` then rewinds the generator to the
+    draw holding the last value taken and redraws up to it, leaving the
+    generator exactly where per-step calls would have. Other draws can
+    then follow in per-step order, and a new stream takes over after them.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -112,7 +97,8 @@ class _GumbelStream:
         if short > 0:
             self.draws.append((self.offset + self.values.size, self.rng.bit_generator.state))
             self.offset += self.pos
-            self.values = np.concatenate([self.values[self.pos :], self.rng.gumbel(size=short)])
+            fresh = -np.log(-np.log(self.rng.random(short)))
+            self.values = np.concatenate([self.values[self.pos :], fresh])
             self.pos = 0
         out = self.values[self.pos : self.pos + n]
         self.pos += n
@@ -127,7 +113,7 @@ class _GumbelStream:
         taken = self.offset + self.pos
         start, state = next((at, st) for at, st in reversed(self.draws) if at <= taken)
         self.rng.bit_generator.state = state
-        self.rng.gumbel(size=taken - start)
+        self.rng.random(taken - start)
 
 
 def _certified_draws(spec: np.ndarray) -> tuple[list[int], list[float]]:
@@ -159,6 +145,17 @@ def _certified_draws(spec: np.ndarray) -> tuple[list[int], list[float]]:
     with np.errstate(invalid="ignore"):
         margin = v1 - v2 - 1e-12 * (1.0 + np.abs(v1) + np.abs(v2))
     return best.tolist(), margin.tolist()
+
+
+def _new_cluster_feature_term(feats: np.ndarray, sigma2: float, tau2: float) -> np.ndarray:
+    """Each segment's new-cluster feature log-weight, the mean integrated out.
+
+    log N(x_l; 0, (σ²+τ²)I) less −‖x_l‖²/(2σ²) − (d/2)·log(2πσ²), the
+    constants the existing clusters' (x_l·μ_k − ½‖μ_k‖²)/σ² also drops.
+    """
+    d = feats.shape[1]
+    sq = np.sum(feats**2, axis=1)
+    return -0.5 * d * math.log1p(tau2 / sigma2) + sq * (tau2 / (2.0 * sigma2 * (sigma2 + tau2)))
 
 
 @dataclass
@@ -232,6 +229,8 @@ class DPMHBP:
         grouping (history-only clustering).
     n_aux:
         Auxiliary clusters per assignment move (Neal Algorithm 8's ``m``).
+        Each carries a rate drawn from the prior; the feature means are
+        integrated out, so a segment's auxiliaries share one feature term.
     """
 
     alpha: float = 4.0
@@ -288,17 +287,21 @@ class DPMHBP:
         m = float(n_years)
 
         use_features = features is not None and self.feature_weight > 0.0
+        tau2 = 1.0  # prior variance of cluster feature means
         if use_features:
             feats = np.asarray(features, dtype=float)
             if feats.shape[0] != n_seg:
                 raise ValueError("features must have one row per segment")
             d = feats.shape[1]
             sigma2 = 1.0 / self.feature_weight
+            new_feat = _new_cluster_feature_term(feats, sigma2, tau2)
+            # A born cluster's mean given its one segment: N(x_l·shrink, σ²·shrink·I).
+            shrink = tau2 / (sigma2 + tau2)
+            birth_sd = math.sqrt(sigma2 * shrink)
         else:
             feats = np.zeros((n_seg, 1))
             d = 1
             sigma2 = 1.0
-        tau2 = 1.0  # prior variance of cluster feature means
 
         rng = np.random.default_rng(self.seed)
         state = _ClusterState(self.c_group, n_years, d)
@@ -337,7 +340,6 @@ class DPMHBP:
         log_alpha_aux = math.log(self.alpha / self.n_aux)
         a0 = self.c0 * self.q0
         b0 = self.c0 * (1.0 - self.q0)
-        sqrt_tau = math.sqrt(tau2)
         # A segment's failure count is fixed for the whole fit, so the
         # segments are grouped by count once and every sweep scores its
         # auxiliary candidates one count group at a time.
@@ -348,12 +350,11 @@ class DPMHBP:
         for sweep in range(self.n_sweeps):
             # ---- Block 1: CRP assignments (Neal Algorithm 8) ----
             order = rng.permutation(n_seg)
-            # Draw every segment's auxiliary-cluster parameters up front and
+            # Draw every segment's auxiliary-cluster rates up front and
             # score them in one vectorized pass: the failure count s_l is
             # fixed within a sweep, so each segment's Beta–Binomial term
             # depends only on its own pre-drawn auxiliary rates.
             aux_q_all = rng.beta(a0, b0, (n_seg, self.n_aux))
-            aux_mu_all = rng.normal(0.0, sqrt_tau, (n_seg, self.n_aux, d))
             a_aux = self.c_group * aux_q_all
             b_aux = self.c_group - a_aux
             aux_base = np.empty((n_seg, self.n_aux))
@@ -363,12 +364,7 @@ class DPMHBP:
                 )
             aux_base += log_alpha_aux
             if use_features:
-                # ‖feats_l‖² is common to every candidate (existing and
-                # auxiliary) and cannot move the draw, so both weight
-                # formulas drop it.
-                aux_cross = np.einsum("ld,lhd->lh", feats, aux_mu_all)
-                aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
-                aux_base += (aux_cross - 0.5 * aux_sq) / sigma2
+                aux_base += new_feat[:, None]
 
             # The scan's live state is plain Python: labels, cluster sizes
             # and their logs, the logs padded with zeros over the auxiliary
@@ -381,8 +377,8 @@ class DPMHBP:
             log_counts = np.log(counts).tolist() + [0.0] * self.n_aux
             bb_t, mu, mu_sq = state.arrays()
             noise = _GumbelStream(rng)
-            # The deleted singleton's weight and parameters, recycled as the
-            # first auxiliary candidate of the step that emptied it (Alg 8).
+            # The deleted singleton's weight and rate, recycled as the first
+            # auxiliary candidate of the step that emptied it (Alg 8).
             recycled = None
             n_exact = 0
             step = 0
@@ -412,31 +408,27 @@ class DPMHBP:
 
                 for j, l in enumerate(rows.tolist()):
                     if recycled is not None:
-                        recycled_params = recycled[1:]
+                        aux_q = recycled[1]
                         recycled = None
                     else:
-                        recycled_params = None
+                        aux_q = None
                         k_old = labels[l]
                         c = counts[k_old] - 1
                         counts[k_old] = c
                         if c == 0:
                             # Delete the emptied cluster, relabel, and rescore
-                            # from this step on with its parameters recycled.
-                            q_s, mu_s = state.q[k_old], state.mu[k_old]
+                            # from this step on with its rate recycled.
+                            q_s = state.q[k_old]
                             aux_q = aux_q_all[l].copy()
-                            aux_mu = aux_mu_all[l].copy()
                             aux_q[0] = q_s
-                            aux_mu[0] = mu_s
                             a_s = self.c_group * q_s
                             b_s = self.c_group * (1.0 - q_s)
                             w0 = log_alpha_aux + float(
                                 beta_binomial_at(a_s, b_s, int(s[l]), n_years)
                             )
                             if use_features:
-                                w0 += (
-                                    float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)
-                                ) / sigma2
-                            recycled = (w0, aux_q, aux_mu)
+                                w0 += float(new_feat[l])
+                            recycled = (w0, aux_q)
                             state.remove(k_old)
                             scales.pop(k_old)
                             del counts[k_old]
@@ -473,18 +465,22 @@ class DPMHBP:
                         if gap + gap > drift2:
                             drift2 = gap + gap
                     else:
-                        h = choice - k_live
-                        if recycled_params is not None:
-                            aux_q, aux_mu = recycled_params
+                        aux_q = aux_q_all[l] if aux_q is None else aux_q
+                        noise.untake((rows.size - j - 1) * width)
+                        if use_features:
+                            # The new mean is drawn where per-step draws
+                            # would draw it: after this step's noise.
+                            noise.close()
+                            mu_new = feats[l] * shrink + birth_sd * rng.standard_normal(d)
+                            noise = _GumbelStream(rng)
                         else:
-                            aux_q, aux_mu = aux_q_all[l], aux_mu_all[l]
-                        labels[l] = state.add(float(aux_q[h]), aux_mu[h], 1)
+                            mu_new = np.zeros(d)
+                        labels[l] = state.add(float(aux_q[choice - k_live]), mu_new, 1)
                         scales.append(AdaptiveScale())
                         counts.append(1)
                         log_counts.insert(k_live, 0.0)
                         k_live += 1
                         bb_t, mu, mu_sq = state.arrays()
-                        noise.untake((rows.size - j - 1) * width)
                         step += j + 1
                         break
                 else:

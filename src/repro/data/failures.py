@@ -92,9 +92,10 @@ def _hidden_quality_band(midpoints: np.ndarray, side: float, rng: np.random.Gene
     """Hidden installation-quality multiplier in spatial bands.
 
     Construction crews worked the region in swathes; some laid poor beds.
-    Returns a multiplier per segment in {0.6, 1.0, 1.9}, constant within
-    diagonal spatial bands — observable to no model, discoverable only
-    through failure history.
+    Returns a multiplier per segment in {0.45, 1.0, 2.6} (drawn per band
+    with probabilities 0.3, 0.45, 0.25), constant within diagonal spatial
+    bands — observable to no model, discoverable only through failure
+    history.
     """
     n_bands = 6
     band = ((midpoints[:, 0] + midpoints[:, 1]) / (2.0 * side) * n_bands).astype(int) % n_bands

@@ -2,7 +2,8 @@
 
 These are the straightforward loops the production code replaced:
 DPMHBP's CRP scan scores each segment's candidates with its own
-matrix–vector product and draws its Gumbel noise one step at a time; the
+matrix–vector product, draws its Gumbel noise one step at a time and a
+born cluster's mean right after that step's noise; the
 Pegasos loops difference one pair (or read one example) per step, shrink
 every weight each step and take the norm with ``np.linalg.norm``; HBP
 takes one rate step per group, summing over the group's members; and the
@@ -90,6 +91,13 @@ def reference_dpmhbp_fit(
         d = 1
         sigma2 = 1.0
     tau2 = 1.0
+    shrink = tau2 / (sigma2 + tau2)
+
+    def new_cluster_logw(x: np.ndarray) -> float:
+        """log N(x; 0, (σ²+τ²)I) without −‖x‖²/(2σ²) − (d/2)·log(2πσ²)."""
+        return -0.5 * d * math.log1p(tau2 / sigma2) + float(np.sum(x**2)) * (
+            tau2 / (2.0 * sigma2 * (sigma2 + tau2))
+        )
 
     rng = np.random.default_rng(self.seed)
     state = _ClusterState(self.c_group, n_years, d)
@@ -117,30 +125,24 @@ def reference_dpmhbp_fit(
     log_alpha_aux = math.log(self.alpha / self.n_aux)
     a0 = self.c0 * self.q0
     b0 = self.c0 * (1.0 - self.q0)
-    sqrt_tau = math.sqrt(tau2)
 
     for sweep in range(self.n_sweeps):
         counts, bb, mu, mu_sq = state.matrices()
         log_counts = np.log(counts)
         order = rng.permutation(n_seg)
         aux_q_all = rng.beta(a0, b0, (n_seg, self.n_aux))
-        aux_mu_all = rng.normal(0.0, sqrt_tau, (n_seg, self.n_aux, d))
         a_aux = self.c_group * aux_q_all
         b_aux = self.c_group - a_aux
         aux_table = beta_binomial_table(a_aux, b_aux, n_years)
         aux_base = log_alpha_aux + aux_table[np.arange(n_seg), :, s]
-        if use_features:
-            aux_cross = np.einsum("ld,lhd->lh", feats, aux_mu_all)
-            aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
-            aux_base += (aux_cross - 0.5 * aux_sq) / sigma2
 
         for l in order:
             k_old = int(z[l])
             counts[k_old] -= 1.0
-            singleton_params = None
+            singleton_q = None
             if counts[k_old] == 0.0:
                 events["deaths"] += 1
-                singleton_params = (state.q[k_old], state.mu[k_old])
+                singleton_q = state.q[k_old]
                 state.remove(k_old)
                 scales.pop(k_old)
                 counts = np.delete(counts, k_old)
@@ -158,24 +160,20 @@ def reference_dpmhbp_fit(
                 logw += (mu @ feats[l] - 0.5 * mu_sq) / sigma2
 
             aux_q = aux_q_all[l]
-            aux_mu = aux_mu_all[l]
-            aux_logw = aux_base[l]
-            if singleton_params is not None:
+            aux_logw = aux_base[l].copy()
+            if singleton_q is not None:
                 aux_q = aux_q.copy()
-                aux_mu = aux_mu.copy()
-                aux_logw = aux_logw.copy()
-                q_s, mu_s = singleton_params
-                aux_q[0] = q_s
-                aux_mu[0] = mu_s
-                a_s = self.c_group * q_s
-                b_s = self.c_group * (1.0 - q_s)
-                w0 = log_alpha_aux + float(beta_binomial_table(a_s, b_s, n_years)[s[l]])
-                if use_features:
-                    w0 += (float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)) / sigma2
-                aux_logw[0] = w0
+                aux_q[0] = singleton_q
+                a_s = self.c_group * singleton_q
+                b_s = self.c_group * (1.0 - singleton_q)
+                aux_logw[0] = log_alpha_aux + float(
+                    beta_binomial_table(a_s, b_s, n_years)[s[l]]
+                )
+            if use_features:
+                aux_logw += new_cluster_logw(feats[l])
 
             all_logw = np.concatenate([logw, aux_logw])
-            all_logw += rng.gumbel(size=all_logw.size)
+            all_logw += -np.log(-np.log(rng.random(all_logw.size)))
             choice = int(all_logw.argmax())
 
             if choice < k_live:
@@ -184,15 +182,19 @@ def reference_dpmhbp_fit(
                 log_counts[choice] = math.log(counts[choice])
             else:
                 events["births"] += 1
-                h = choice - k_live
-                new_k = state.add(float(aux_q[h]), aux_mu[h], 1)
+                if use_features:
+                    sd = math.sqrt(sigma2 * shrink)
+                    mu_new = feats[l] * shrink + sd * rng.standard_normal(d)
+                else:
+                    mu_new = np.zeros(d)
+                new_k = state.add(float(aux_q[choice - k_live]), mu_new, 1)
                 scales.append(AdaptiveScale())
                 z[l] = new_k
                 counts = np.append(counts, 1.0)
                 log_counts = np.append(log_counts, 0.0)
                 bb = np.vstack([bb, state.bb_table[new_k]])
-                mu = np.vstack([mu, aux_mu[h]])
-                mu_sq = np.append(mu_sq, float(aux_mu[h] @ aux_mu[h]))
+                mu = np.vstack([mu, mu_new])
+                mu_sq = np.append(mu_sq, float(mu_new @ mu_new))
         state.count = [int(c) for c in counts]
 
         hist = np.zeros((state.k, int(m) + 1))

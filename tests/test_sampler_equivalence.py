@@ -99,6 +99,16 @@ class TestDPMHBPScan:
         want, _ = reference_dpmhbp_fit(sampler, *args)
         assert_posteriors_identical(sampler.fit(*args), want)
 
+    def test_feature_births(self, rng):
+        """A birth draws its mean between two steps' noise, mid-window: the
+        stream closes, the generator draws, and a new stream opens."""
+        failures = (rng.random((150, 9)) < 0.15).astype(np.int8)
+        features = rng.standard_normal((150, 3))
+        sampler = DPMHBP(n_sweeps=8, burn_in=2, seed=7, alpha=6.0, feature_weight=1.0)
+        want, events = reference_dpmhbp_fit(sampler, failures, features)
+        assert events["births"] >= 10 and events["deaths"] >= 10
+        assert_posteriors_identical(sampler.fit(failures, features), want)
+
     @pytest.mark.parametrize("window_bytes", [1, 8 * 7, 1 << 10])
     def test_small_windows(self, rng, monkeypatch, window_bytes):
         """Window boundaries, and noise handed back across draws, change nothing."""
